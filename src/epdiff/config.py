@@ -41,7 +41,6 @@ _KNOWN_KEYS = {
     "snapshot_every",
     "seed",
     "full_scale",
-    "grids",
     "reference_grid",
     "corrector_rtol",
     "corrector_max_iter",
@@ -70,8 +69,6 @@ def parse_scheme_label(
 ) -> SchemeSelection:
     """Parse one scheme label: scheme1 | scheme1-fixed=N | scheme2 | scheme3 | rk4."""
     label = label.strip()
-    if label == "scheme1":
-        return SchemeSelection(label, SchemeKind.SCHEME1_PC, Tolerance(rtol, max_iter))
     if label.startswith("scheme1-fixed="):
         try:
             count = int(label.split("=", 1)[1])
@@ -80,13 +77,12 @@ def parse_scheme_label(
         if count < 1:
             raise ConfigError(f"corrector count must be positive in {label!r}")
         return SchemeSelection(label, SchemeKind.SCHEME1_PC, FixedCount(count))
-    if label == "scheme2":
-        return SchemeSelection(label, SchemeKind.SCHEME2, Tolerance(rtol, max_iter))
-    if label == "scheme3":
-        return SchemeSelection(label, SchemeKind.SCHEME3, Tolerance(rtol, max_iter))
-    if label == "rk4":
-        return SchemeSelection(label, SchemeKind.RK4, Tolerance(rtol, max_iter))
-    raise ConfigError(f"unknown scheme {label!r}")
+    # Every other label is the value of its scheme kind.
+    try:
+        kind = SchemeKind(label)
+    except ValueError:
+        raise ConfigError(f"unknown scheme {label!r}") from None
+    return SchemeSelection(label, kind, Tolerance(rtol, max_iter))
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -148,7 +144,7 @@ class ExperimentConfig:
     seed: int = 0
     full_scale: bool = False
     grids: tuple[tuple[int, int], ...] = ()
-    reference_grid: tuple[int, int] | None = None
+    reference_grid: tuple[int, int] = (256, 256)
     corrector_rtol: float = 1e-14
     corrector_max_iter: int = 200
     bootstrap: BootstrapKind = BootstrapKind.RK4
@@ -234,9 +230,6 @@ def build_config(command: str, flags: dict[str, object]) -> ExperimentConfig:
     if not grid_list:
         raise ConfigError("no grid given")
 
-    ref_text = get("reference_grid")
-    reference = _parse_grid(str(ref_text)) if ref_text is not None else None
-
     profile = str(get("profile") or _default_profile(command)).lower()
     if profile != "sine":
         try:
@@ -250,10 +243,10 @@ def build_config(command: str, flags: dict[str, object]) -> ExperimentConfig:
     except ValueError:
         raise ConfigError(f"unknown bootstrap {bootstrap_text!r}") from None
 
-    alpha = as_float("alpha", _default_alpha(command, profile))
+    alpha = as_float("alpha", _default_alpha(profile))
     if alpha <= 0:
         raise ConfigError("alpha must be positive")
-    t_final = as_float("t_final", _default_t_final(command, profile))
+    t_final = as_float("t_final", _default_t_final(command))
     if t_final <= 0:
         raise ConfigError("t-final must be positive")
     snapshot_every = as_int("snapshot_every", 0)
@@ -279,7 +272,7 @@ def build_config(command: str, flags: dict[str, object]) -> ExperimentConfig:
         seed=as_int("seed", 0),
         full_scale=as_bool("full_scale"),
         grids=grid_list,
-        reference_grid=reference,
+        reference_grid=_parse_grid(str(get("reference_grid") or "256")),
         corrector_rtol=rtol,
         corrector_max_iter=max_iter,
         bootstrap=bootstrap,
@@ -310,7 +303,7 @@ def _default_grid(command: str) -> str:
         return "100,200,300"
     if command == "reversibility":
         return "200x200"
-    return "128x128"
+    return "160x160"
 
 
 def _default_profile(command: str) -> str:
@@ -319,14 +312,14 @@ def _default_profile(command: str) -> str:
     return "plate"
 
 
-def _default_alpha(command: str, profile: str) -> float:
+def _default_alpha(profile: str) -> float:
     if profile == "sine":
         return 1.0
     # alpha = sigma for the default wave-front widths.
     return 0.05 if profile == "star" else 0.1
 
 
-def _default_t_final(command: str, profile: str) -> float:
+def _default_t_final(command: str) -> float:
     if command == "conserve":
         return 50.0
     if command == "convergence":

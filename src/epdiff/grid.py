@@ -324,10 +324,6 @@ def _solve_q_stack_arr(a: np.ndarray, grid: GridSpec) -> np.ndarray:
     return u_rows[..., None, :] + u_rest
 
 
-def _solve_q_arr(a: np.ndarray, grid: GridSpec) -> np.ndarray:
-    return _solve_q_stack_arr(a, grid)
-
-
 def _solve_q_checked(a: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, float]:
     """Solve and verify: stacked input gives the worst per-layer residual."""
     u = _solve_q_stack_arr(a, grid)

@@ -32,7 +32,6 @@ from .snapshots import write_snapshot
 from .steppers import SchemeKind, integrate
 
 __all__ = [
-    "cmd_run",
     "cmd_conserve",
     "cmd_convergence",
     "cmd_reversibility",
@@ -71,10 +70,10 @@ def _initial_state(cfg: ExperimentConfig, grid: GridSpec) -> State:
     return wavefront_profile(_front_spec(cfg), grid)
 
 
-def _grid(cfg: ExperimentConfig, k: int | None = None, j: int | None = None) -> GridSpec:
-    if cfg.full_scale and cfg.profile != "sine" and k is None:
+def _grid(cfg: ExperimentConfig) -> GridSpec:
+    if cfg.full_scale and cfg.profile != "sine":
         return GridSpec(_FULL_SCALE_POINTS, _FULL_SCALE_POINTS, cfg.alpha)
-    return GridSpec(k or cfg.K, j or cfg.J, cfg.alpha)
+    return GridSpec(cfg.K, cfg.J, cfg.alpha)
 
 
 def write_invariants_csv(path: Path, record: RunRecord) -> None:
@@ -149,7 +148,7 @@ def _integrate_schemes(cfg: ExperimentConfig, grid: GridSpec) -> tuple[dict, boo
 
 
 def cmd_conserve(cfg: ExperimentConfig) -> int:
-    """Long-run invariant tracking (defaults: 20x20 sine, dt = dx^2, T = 50)."""
+    """Invariant tracking with optional snapshots, for ``conserve`` and ``run``."""
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     grid = _grid(cfg)
     summaries, failed = _integrate_schemes(cfg, grid)
@@ -167,11 +166,6 @@ def cmd_conserve(cfg: ExperimentConfig) -> int:
     return 1 if failed else 0
 
 
-def cmd_run(cfg: ExperimentConfig) -> int:
-    """Free-form run (defaults: 128x128 plate, dt = dx/4) with snapshots."""
-    return cmd_conserve(cfg)
-
-
 def cmd_convergence(cfg: ExperimentConfig) -> int:
     """Self-convergence with dt = dx over nested grids against a fine reference."""
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -179,10 +173,9 @@ def cmd_convergence(cfg: ExperimentConfig) -> int:
     for k, j in cfg.grids:
         if k != j:
             raise ConfigError("convergence grids must be square (K = J)")
-    ref = cfg.reference_grid or (256, 256)
-    if ref[0] != ref[1]:
+    reference, ref_j = cfg.reference_grid
+    if reference != ref_j:
         raise ConfigError("reference grid must be square")
-    reference = ref[0]
     for n in sizes:
         if n >= reference:
             raise ConfigError(
@@ -332,7 +325,7 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
 
 def run_command(cfg: ExperimentConfig) -> int:
     dispatch = {
-        "run": cmd_run,
+        "run": cmd_conserve,
         "conserve": cmd_conserve,
         "convergence": cmd_convergence,
         "reversibility": cmd_reversibility,

@@ -29,7 +29,6 @@ from .diagnostics import RunRecord, SeriesRow
 from .errors import NonConvergenceError, NumericalFailureError
 from .grid import (
     FieldPair,
-    GridSpec,
     _apply_q_arr,
     _check_same_grid,
     _solve_q_checked,
@@ -142,51 +141,52 @@ def _pair_norm(a1: np.ndarray, a2: np.ndarray, area: float) -> float:
     return math.sqrt((np.sum(a1 * a1) + np.sum(a2 * a2)) * area)
 
 
-def step_scheme2(s_nm1: State, s_n: State, dt: float) -> StepResult:
-    """Explicit two-step leapfrog: M advances over 2*dt with the bracket
-    frozen at the middle level; conserves energy and both momenta."""
-    _require_consecutive(s_nm1, s_n, dt)
+def _finish(
+    s_n: State,
+    dt: float,
+    u: np.ndarray,
+    m: np.ndarray,
+    residual: float,
+    increments: tuple[float, ...] = (),
+) -> StepResult:
+    """Wrap the (2, J, K) velocity and momentum stacks of the level after
+    ``s_n``; one corrector pass per increment."""
+    grid = s_n.grid
+    state = State(
+        u=FieldPair.from_arrays(grid, u[0], u[1]),
+        m=FieldPair.from_arrays(grid, m[0], m[1]),
+        t=s_n.t + dt,
+    )
+    return StepResult(
+        state,
+        corrector_iters=len(increments),
+        linear_solve_residual=residual,
+        corrector_increments=increments,
+    )
+
+
+def _leapfrog(s_nm1: State, s_n: State, dt: float) -> np.ndarray:
+    """The explicit two-step momentum M_{n-1} - 2 dt Gamma(M_n, U_n), stacked."""
     grid = s_n.grid
     g1, g2 = _gamma_arrays(
         s_n.m.c1.values, s_n.m.c2.values, s_n.u.c1.values, s_n.u.c2.values,
         grid.dx, grid.dy,
     )
-    m_new = np.stack(
+    return np.stack(
         [s_nm1.m.c1.values - (2.0 * dt) * g1, s_nm1.m.c2.values - (2.0 * dt) * g2]
     )
-    u_new, res = _solve_q_checked(m_new, grid)
-    state = State(
-        u=FieldPair.from_arrays(grid, u_new[0], u_new[1]),
-        m=FieldPair.from_arrays(grid, m_new[0], m_new[1]),
-        t=s_n.t + dt,
-    )
-    return StepResult(state, corrector_iters=0, linear_solve_residual=res)
 
 
-def _scheme3_operator(m_n: FieldPair, dt: float, grid: GridSpec):
-    """x -> Q x + dt*Gamma(m_n, x), the left-hand operator of the two-step
-    linearly implicit scheme."""
-    m1 = m_n.c1.values
-    m2 = m_n.c2.values
-
-    def apply(x1: np.ndarray, x2: np.ndarray):
-        g1, g2 = _gamma_arrays(m1, m2, x1, x2, grid.dx, grid.dy)
-        return (
-            _apply_q_arr(x1, grid) + dt * g1,
-            _apply_q_arr(x2, grid) + dt * g2,
-        )
-
-    return apply
+def step_scheme2(s_nm1: State, s_n: State, dt: float) -> StepResult:
+    """Explicit two-step leapfrog: M advances over 2*dt with the bracket
+    frozen at the middle level; conserves energy and both momenta."""
+    _require_consecutive(s_nm1, s_n, dt)
+    m_new = _leapfrog(s_nm1, s_n, dt)
+    u_new, res = _solve_q_checked(m_new, s_n.grid)
+    return _finish(s_n, dt, u_new, m_new, res)
 
 
-def step_scheme3(
-    s_nm1: State,
-    s_n: State,
-    dt: float,
-    *,
-    rtol: float = SCHEME3_RTOL,
-    residual_cap: float = SCHEME3_RESIDUAL_CAP,
-) -> StepResult:
+def step_scheme3(s_nm1: State, s_n: State, dt: float) -> StepResult:
     """Linearly implicit two-step scheme: solves the coupled system
     (Q + dt*Gamma_n) U_new = (Q - dt*Gamma_n) U_old in the 2*K*J velocity
     unknowns, with the bracket coefficients frozen at the middle level.
@@ -194,45 +194,45 @@ def step_scheme3(
     Conserves energy but not the linear momenta.  The system is solved
     matrix-free by GMRES preconditioned with the spectral Q-inverse; the
     operator is Q plus an O(dt) skew perturbation, so a handful of iterations
-    suffice.  Fails if the relative residual cannot be pushed below
-    ``residual_cap``.
+    suffice.  The corrector's fixed-point iteration x <- Q^-1 (b - dt
+    Gamma_n x) is not used: it converges only while the spectral radius of
+    dt Q^-1 Gamma_n stays below 1, and on the 16x16 random state of the
+    dense cross-validation test (alpha = 0.8, dt = 0.01) that radius is 1.09,
+    while GMRES converges for any nonsingular operator.  Fails if the
+    relative residual cannot be pushed below ``SCHEME3_RESIDUAL_CAP``.
     """
     _require_consecutive(s_nm1, s_n, dt)
     grid = s_n.grid
-    shape = grid.shape
-    n_pts = grid.K * grid.J
+    stack = (2,) + grid.shape
+    size = 2 * grid.K * grid.J
+    m1 = s_n.m.c1.values
+    m2 = s_n.m.c2.values
 
-    lhs = _scheme3_operator(s_n.m, dt, grid)
+    def matvec(x: np.ndarray) -> np.ndarray:
+        u = x.reshape(stack)
+        g1, g2 = _gamma_arrays(m1, m2, u[0], u[1], grid.dx, grid.dy)
+        y = _apply_q_arr(u, grid)
+        y[0] += dt * g1
+        y[1] += dt * g2
+        return y.ravel()
+
+    def precond(x: np.ndarray) -> np.ndarray:
+        return _solve_q_stack_arr(x.reshape(stack), grid).ravel()
 
     # Using the stored momentum for Q u_old keeps the evolved variable exact.
     g1, g2 = _gamma_arrays(
-        s_n.m.c1.values, s_n.m.c2.values,
-        s_nm1.u.c1.values, s_nm1.u.c2.values,
-        grid.dx, grid.dy,
+        m1, m2, s_nm1.u.c1.values, s_nm1.u.c2.values, grid.dx, grid.dy
     )
-    b1 = s_nm1.m.c1.values - dt * g1
-    b2 = s_nm1.m.c2.values - dt * g2
-    b = np.concatenate([b1.ravel(), b2.ravel()])
-
-    def matvec(x: np.ndarray) -> np.ndarray:
-        y1, y2 = lhs(x[:n_pts].reshape(shape), x[n_pts:].reshape(shape))
-        return np.concatenate([y1.ravel(), y2.ravel()])
-
-    def precond(x: np.ndarray) -> np.ndarray:
-        return _solve_q_stack_arr(x.reshape((2,) + shape), grid).ravel()
-
-    op = scipy.sparse.linalg.LinearOperator((2 * n_pts, 2 * n_pts), matvec=matvec)
-    prec = scipy.sparse.linalg.LinearOperator((2 * n_pts, 2 * n_pts), matvec=precond)
-
+    b = np.stack([s_nm1.m.c1.values - dt * g1, s_nm1.m.c2.values - dt * g2]).ravel()
     # Linear extrapolation from the two known levels is a second-order guess.
-    x0 = np.concatenate(
+    x0 = np.stack(
         [
-            (2.0 * s_n.u.c1.values - s_nm1.u.c1.values).ravel(),
-            (2.0 * s_n.u.c2.values - s_nm1.u.c2.values).ravel(),
+            2.0 * s_n.u.c1.values - s_nm1.u.c1.values,
+            2.0 * s_n.u.c2.values - s_nm1.u.c2.values,
         ]
-    )
+    ).ravel()
 
-    iteration_cap = max(1, math.ceil(10.0 * math.sqrt(2.0 * n_pts)))
+    iteration_cap = max(1, math.ceil(10.0 * math.sqrt(size)))
     restart = min(64, iteration_cap)
     iters = 0
 
@@ -241,14 +241,14 @@ def step_scheme3(
         iters += 1
 
     x, info = scipy.sparse.linalg.gmres(
-        op,
+        scipy.sparse.linalg.LinearOperator((size, size), matvec=matvec),
         b,
         x0=x0,
-        rtol=rtol,
+        rtol=SCHEME3_RTOL,
         atol=0.0,
         restart=restart,
         maxiter=max(1, math.ceil(iteration_cap / restart)),
-        M=prec,
+        M=scipy.sparse.linalg.LinearOperator((size, size), matvec=precond),
         callback=count,
         callback_type="pr_norm",
     )
@@ -256,21 +256,15 @@ def step_scheme3(
     rel_res = (
         float(np.linalg.norm(matvec(x) - b)) / norm_b if norm_b > 0.0 else 0.0
     )
-    if not np.all(np.isfinite(x)) or rel_res > residual_cap:
+    if not np.all(np.isfinite(x)) or rel_res > SCHEME3_RESIDUAL_CAP:
         raise NonConvergenceError(
             f"linear solve stalled at relative residual {rel_res:.3e} "
-            f"(cap {residual_cap:.1e}, {iters} iterations)",
+            f"(cap {SCHEME3_RESIDUAL_CAP:.1e}, {iters} iterations)",
             residual=rel_res,
         )
 
-    u1 = x[:n_pts].reshape(shape)
-    u2 = x[n_pts:].reshape(shape)
-    state = State(
-        u=FieldPair.from_arrays(grid, u1, u2),
-        m=FieldPair.from_arrays(grid, _apply_q_arr(u1, grid), _apply_q_arr(u2, grid)),
-        t=s_n.t + dt,
-    )
-    return StepResult(state, corrector_iters=0, linear_solve_residual=rel_res)
+    u = x.reshape(stack)
+    return _finish(s_n, dt, u, _apply_q_arr(u, grid), rel_res)
 
 
 def step_scheme1_pc(
@@ -293,8 +287,6 @@ def step_scheme1_pc(
     iteration stops when successive momentum iterates agree to ``rtol``
     relative; exceeding ``max_iter`` raises :class:`NonConvergenceError`.
     """
-    if s_nm1 is not None:
-        _require_consecutive(s_nm1, s_n, dt)
     grid = s_n.grid
     area = grid.cell_area
     mn1 = s_n.m.c1.values
@@ -303,10 +295,8 @@ def step_scheme1_pc(
     un2 = s_n.u.c2.values
 
     if s_nm1 is not None:
-        g1, g2 = _gamma_arrays(mn1, mn2, un1, un2, grid.dx, grid.dy)
-        mp = np.stack(
-            [s_nm1.m.c1.values - (2.0 * dt) * g1, s_nm1.m.c2.values - (2.0 * dt) * g2]
-        )
+        _require_consecutive(s_nm1, s_n, dt)
+        mp = _leapfrog(s_nm1, s_n, dt)
         up = _solve_q_stack_arr(mp, grid)
     else:
         mp = np.stack([mn1, mn2])
@@ -340,18 +330,7 @@ def step_scheme1_pc(
             f"{mode.max_iter} passes (last relative increment {rel:.3e})",
             residual=rel,
         )
-
-    state = State(
-        u=FieldPair.from_arrays(grid, up[0], up[1]),
-        m=FieldPair.from_arrays(grid, mp[0], mp[1]),
-        t=s_n.t + dt,
-    )
-    return StepResult(
-        state,
-        corrector_iters=len(increments),
-        linear_solve_residual=rel,
-        corrector_increments=tuple(increments),
-    )
+    return _finish(s_n, dt, up, mp, rel, tuple(increments))
 
 
 def step_rk4(s_n: State, dt: float) -> StepResult:
@@ -385,12 +364,7 @@ def step_rk4(s_n: State, dt: float) -> StepResult:
         ]
     )
     u_new, res = _solve_q_checked(m_new, grid)
-    state = State(
-        u=FieldPair.from_arrays(grid, u_new[0], u_new[1]),
-        m=FieldPair.from_arrays(grid, m_new[0], m_new[1]),
-        t=s_n.t + dt,
-    )
-    return StepResult(state, corrector_iters=0, linear_solve_residual=res)
+    return _finish(s_n, dt, u_new, m_new, res)
 
 
 def _bootstrap_result(s_0: State, dt: float, cfg: SchemeConfig) -> StepResult:
@@ -459,18 +433,29 @@ def integrate(
     if seed_second_state is not None and not multistep:
         raise ValueError("a seed pair only makes sense for two-level schemes")
 
+    # Built per call, not at import, so that a stepper or energy replaced on
+    # this module (by a tracer or a test) is the one that runs.
+    def pointwise_energy(prev: Optional[State], cur: State) -> float:
+        return energy_scheme1(cur)
+
+    advance, scheme_energy = {
+        SchemeKind.SCHEME1_PC: (
+            lambda prev, cur: step_scheme1_pc(prev, cur, dt, cfg), pointwise_energy
+        ),
+        SchemeKind.SCHEME2: (
+            lambda prev, cur: step_scheme2(prev, cur, dt), energy_half_scheme2
+        ),
+        SchemeKind.SCHEME3: (
+            lambda prev, cur: step_scheme3(prev, cur, dt), energy_half_scheme3
+        ),
+        SchemeKind.RK4: (lambda prev, cur: step_rk4(cur, dt), pointwise_energy),
+    }[kind]
+
     record = RunRecord(scheme=kind.value, grid=initial.grid, dt=dt)
 
     def snapshot(step: int, s: State):
         if snapshot_every > 0 and step % snapshot_every == 0:
             record.snapshots.append((s.t, s.u))
-
-    def scheme_energy(prev: Optional[State], cur: State) -> float:
-        if kind is SchemeKind.SCHEME2:
-            return energy_half_scheme2(prev, cur)
-        if kind is SchemeKind.SCHEME3:
-            return energy_half_scheme3(prev, cur)
-        return energy_scheme1(cur)
 
     def add_row(step: int, s: State, energy: float, res: StepResult | None, wall: float):
         mx, my = linear_momenta(s)
@@ -489,43 +474,35 @@ def integrate(
     prev: Optional[State] = None
     cur = initial
     snapshot(0, cur)
-
-    step0_energy_pending = multistep  # needs the bootstrapped level
     if not multistep:
-        add_row(0, cur, energy_scheme1(cur), None, 0.0)
+        add_row(0, cur, scheme_energy(None, cur), None, 0.0)
 
     try:
         for step in range(1, n_steps + 1):
             t_start = time.perf_counter()
-            if step == 1 and multistep:
-                if seed_second_state is not None:
-                    _require_consecutive(cur, seed_second_state, dt)
-                    result = StepResult(
-                        seed_second_state, corrector_iters=0, linear_solve_residual=0.0
-                    )
-                else:
-                    result = _bootstrap_result(cur, dt, cfg)
-            elif kind is SchemeKind.SCHEME2:
-                result = step_scheme2(prev, cur, dt)
-            elif kind is SchemeKind.SCHEME3:
-                result = step_scheme3(prev, cur, dt)
-            elif kind is SchemeKind.SCHEME1_PC:
-                result = step_scheme1_pc(prev, cur, dt, cfg)
+            if step > 1 or not multistep:
+                result = advance(prev, cur)
+            elif seed_second_state is not None:
+                _require_consecutive(cur, seed_second_state, dt)
+                result = StepResult(
+                    seed_second_state, corrector_iters=0, linear_solve_residual=0.0
+                )
             else:
-                result = step_rk4(cur, dt)
+                result = _bootstrap_result(cur, dt, cfg)
             wall = time.perf_counter() - t_start
 
             prev, cur = cur, result.state
-            if step0_energy_pending:
-                add_row(0, prev, scheme_energy(prev, cur), None, 0.0)
-                step0_energy_pending = False
-            add_row(step, cur, scheme_energy(prev, cur), result, wall)
+            energy = scheme_energy(prev, cur)
+            if step == 1 and multistep:
+                # The two-level energy of step 0 needs the bootstrapped level.
+                add_row(0, prev, energy, None, 0.0)
+            add_row(step, cur, energy, result, wall)
             snapshot(step, cur)
             if observer is not None:
                 observer(result)
     except NumericalFailureError as exc:
         raise type(exc)(
-            f"{exc} (while computing step {len(record.series)})",
+            f"{exc} (while computing step {step})",
             residual=exc.residual,
         ) from exc
 

@@ -7,8 +7,10 @@ import pytest
 
 from epdiff import ConfigError, GridSpec
 from epdiff.cli import main
-from epdiff.config import build_config, parse_scheme_label, read_config_file
+from epdiff.config import COMMANDS, build_config, parse_scheme_label, read_config_file
+from epdiff.harness import _grid
 from epdiff.snapshots import read_snapshot, write_snapshot
+from epdiff.steppers import _resolve_step_count
 from conftest import random_pair
 
 
@@ -50,13 +52,31 @@ class TestConfigFile:
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text("gridd = 16\n")
-        with pytest.raises(ConfigError):
-            read_config_file(cfg_file)
+        # ``grids`` is rejected too: the grid list is the ``grid`` key.
+        for line in ("gridd = 16\n", "grids = 32,64\n"):
+            cfg_file.write_text(line)
+            with pytest.raises(ConfigError):
+                read_config_file(cfg_file)
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             read_config_file(tmp_path / "nope.cfg")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_defaults_resolve_whole_step_counts(self, command):
+        # A default that is not a whole number of steps fails before it runs.
+        for flags in ({}, {"full_scale": True}):
+            cfg = build_config(command, flags)
+            if command == "convergence":
+                # Every level and the reference run at dt = dx.
+                sizes = [k for k, _ in cfg.grids] + [cfg.reference_grid[0]]
+                dts = [GridSpec(n, n, cfg.alpha).dx for n in sizes]
+            elif command == "bench":
+                dts = [cfg.resolve_dt(GridSpec(k, j, cfg.alpha).dx) for k, j in cfg.grids]
+            else:
+                dts = [cfg.resolve_dt(_grid(cfg).dx)]
+            for dt in dts:
+                assert _resolve_step_count(0.0, cfg.t_final, dt) >= 1
 
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigError):

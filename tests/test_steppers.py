@@ -11,6 +11,7 @@ from epdiff import (
     FixedCount,
     GridSpec,
     NonConvergenceError,
+    NumericalFailureError,
     ScalarField,
     SchemeConfig,
     SchemeKind,
@@ -437,3 +438,39 @@ class TestIntegrate:
         with np.errstate(all="ignore"), pytest.raises(Exception) as exc_info:
             integrate(s0, cfg, 40.0)
         assert "step" in str(exc_info.value)
+        # A state this large overflows on the first step, which for the
+        # two-level schemes is the bootstrap: both report step 1.
+        huge = State.from_velocity(
+            FieldPair(
+                ScalarField(g, 1e100 * np.sin(np.pi * g.meshgrid()[0])),
+                ScalarField.zeros(g),
+            )
+        )
+        for kind in (SchemeKind.SCHEME2, SchemeKind.RK4):
+            with np.errstate(all="ignore"), pytest.raises(NumericalFailureError) as exc_info:
+                integrate(huge, SchemeConfig(kind, 0.5), 5.0)
+            assert str(exc_info.value).endswith("(while computing step 1)")
+
+    def test_dispatch_looks_steppers_up_at_call_time(self, monkeypatch):
+        import epdiff.steppers as steppers
+
+        calls = {"step": 0, "energy": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(steppers, "step_scheme2", counting("step", step_scheme2))
+        monkeypatch.setattr(
+            steppers, "energy_half_scheme2", counting("energy", steppers.energy_half_scheme2)
+        )
+        g = GridSpec(12, 12, 1.0)
+        n = 6
+        dt = g.dx**2
+        rec = integrate(sine_profile(g), SchemeConfig(SchemeKind.SCHEME2, dt), n * dt)
+        assert len(rec.series) == n + 1
+        # Step 1 is the RK4 bootstrap; every step computes one energy.
+        assert calls == {"step": n - 1, "energy": n}
