@@ -13,6 +13,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .profiles import FrontKind
 from .steppers import (
+    DEFAULT_CORRECTOR,
     BootstrapKind,
     CorrectorMode,
     FixedCount,
@@ -65,7 +66,9 @@ class SchemeSelection:
 
 
 def parse_scheme_label(
-    label: str, rtol: float = 1e-14, max_iter: int = 200
+    label: str,
+    rtol: float = DEFAULT_CORRECTOR.rtol,
+    max_iter: int = DEFAULT_CORRECTOR.max_iter,
 ) -> SchemeSelection:
     """Parse one scheme label: scheme1 | scheme1-fixed=N | scheme2 | scheme3 | rk4."""
     label = label.strip()
@@ -145,8 +148,6 @@ class ExperimentConfig:
     full_scale: bool = False
     grids: tuple[tuple[int, int], ...] = ()
     reference_grid: tuple[int, int] = (256, 256)
-    corrector_rtol: float = 1e-14
-    corrector_max_iter: int = 200
     bootstrap: BootstrapKind = BootstrapKind.RK4
     bench_steps: int = 20
     bench_reps: int = 3
@@ -211,10 +212,10 @@ def build_config(command: str, flags: dict[str, object]) -> ExperimentConfig:
             raise ConfigError(f"{key} must be a number, got {v!r}") from None
 
     scheme_text = str(get("scheme") or _default_schemes(command))
-    rtol = as_float("corrector_rtol", 1e-14)
+    rtol = as_float("corrector_rtol", DEFAULT_CORRECTOR.rtol)
     if not 0.0 < rtol < 1.0:
         raise ConfigError("corrector rtol must lie in (0, 1)")
-    max_iter = as_int("corrector_max_iter", 200)
+    max_iter = as_int("corrector_max_iter", DEFAULT_CORRECTOR.max_iter)
     if max_iter < 1:
         raise ConfigError("corrector max_iter must be positive")
     schemes = tuple(
@@ -273,8 +274,6 @@ def build_config(command: str, flags: dict[str, object]) -> ExperimentConfig:
         full_scale=as_bool("full_scale"),
         grids=grid_list,
         reference_grid=_parse_grid(str(get("reference_grid") or "256")),
-        corrector_rtol=rtol,
-        corrector_max_iter=max_iter,
         bootstrap=bootstrap,
         bench_steps=as_int("bench_steps", 20),
         bench_reps=as_int("bench_reps", 3),

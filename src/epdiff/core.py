@@ -18,6 +18,7 @@ from .grid import (
     GridSpec,
     _check_same_grid,
     _d1_arr,
+    _layer_inners,
     apply_q,
     inner,
     norm,
@@ -80,8 +81,8 @@ class State:
         return State(u=-self.u, m=-self.m, t=t)
 
 
-def _gamma_arrays(m1, m2, v1, v2, dx: float, dy: float):
-    """Both components of the bracket on raw (J, K) arrays.
+def _gamma_arrays(m: np.ndarray, v: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The bracket of (2, J, K) momentum and velocity stacks, as one stack.
 
     The eight centered differences are taken as two stencil passes over
     stacked (4, J, K) blocks, which is ~3x cheaper than eight separate
@@ -90,11 +91,18 @@ def _gamma_arrays(m1, m2, v1, v2, dx: float, dy: float):
         c1 = m1*d1x(v1) + m2*d1x(v2) + d1x(m1*v1) + d1y(m1*v2)
         c2 = m1*d1y(v1) + m2*d1y(v2) + d1x(m2*v1) + d1y(m2*v2)
     """
-    dxs = _d1_arr(np.stack([v1, v2, m1 * v1, m2 * v1]), -1, dx)
-    dys = _d1_arr(np.stack([v1, v2, m1 * v2, m2 * v2]), -2, dy)
-    c1 = m1 * dxs[0] + m2 * dxs[1] + dxs[2] + dys[2]
-    c2 = m1 * dys[0] + m2 * dys[1] + dxs[3] + dys[3]
-    return c1, c2
+    # Layer by layer: the broadcast np.concatenate([v, m * v1]) has the same
+    # bits but made an RK4 step at 256x256 about 10% slower.
+    m1, m2 = m
+    v1, v2 = v
+    dxs = _d1_arr(np.stack([v1, v2, m1 * v1, m2 * v1]), -1, grid.dx)
+    dys = _d1_arr(np.stack([v1, v2, m1 * v2, m2 * v2]), -2, grid.dy)
+    return np.stack(
+        [
+            m1 * dxs[0] + m2 * dxs[1] + dxs[2] + dys[2],
+            m1 * dys[0] + m2 * dys[1] + dxs[3] + dys[3],
+        ]
+    )
 
 
 def gamma_apply(m: FieldPair, v: FieldPair) -> FieldPair:
@@ -105,11 +113,7 @@ def gamma_apply(m: FieldPair, v: FieldPair) -> FieldPair:
     the Hadamard product.  Bilinear in (m, v).
     """
     _check_same_grid(m, v)
-    grid = m.grid
-    c1, c2 = _gamma_arrays(
-        m.c1.values, m.c2.values, v.c1.values, v.c2.values, grid.dx, grid.dy
-    )
-    return FieldPair.from_arrays(grid, c1, c2)
+    return FieldPair._wrap(m.grid, _gamma_arrays(m.values, v.values, m.grid))
 
 
 def dvd_scheme1(u_n: FieldPair, u_np1: FieldPair) -> FieldPair:
@@ -142,30 +146,19 @@ def energy_scheme1(s: State) -> float:
 def energy_half_scheme2(s_n: State, s_np1: State) -> float:
     """Cross-averaged half-step energy (new momentum against old velocity
     and vice versa, averaged over the four products)."""
-    _check_same_grid(s_n.u, s_np1.u)
-    return 0.25 * (
-        inner(s_np1.m.c1, s_n.u.c1)
-        + inner(s_n.m.c1, s_np1.u.c1)
-        + inner(s_np1.m.c2, s_n.u.c2)
-        + inner(s_n.m.c2, s_np1.u.c2)
-    )
+    new_old = _layer_inners(s_np1.m, s_n.u)
+    old_new = _layer_inners(s_n.m, s_np1.u)
+    return float(0.25 * (new_old[0] + old_new[0] + new_old[1] + old_new[1]))
 
 
 def energy_half_scheme3(s_n: State, s_np1: State) -> float:
     """Same-time products averaged across the two levels."""
-    _check_same_grid(s_n.u, s_np1.u)
-    return 0.25 * (
-        inner(s_np1.m.c1, s_np1.u.c1)
-        + inner(s_n.m.c1, s_n.u.c1)
-        + inner(s_np1.m.c2, s_np1.u.c2)
-        + inner(s_n.m.c2, s_n.u.c2)
-    )
+    new = _layer_inners(s_np1.m, s_np1.u)
+    old = _layer_inners(s_n.m, s_n.u)
+    return float(0.25 * (new[0] + old[0] + new[1] + old[1]))
 
 
 def linear_momenta(s: State) -> tuple[float, float]:
     """(sum(u1) dx dy, sum(u2) dx dy)."""
-    area = s.grid.cell_area
-    return (
-        float(np.sum(s.u.c1.values)) * area,
-        float(np.sum(s.u.c2.values)) * area,
-    )
+    mx, my = np.sum(s.u.values, axis=(-2, -1)) * s.grid.cell_area
+    return float(mx), float(my)

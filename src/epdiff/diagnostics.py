@@ -157,11 +157,7 @@ def convergence_study(
         sol = run(n)
         stride = reference_size // n
         g = sol.grid
-        restricted = FieldPair.from_arrays(
-            g,
-            ref.u.c1.values[::stride, ::stride],
-            ref.u.c2.values[::stride, ::stride],
-        )
+        restricted = FieldPair.from_arrays(g, *ref.u.values[:, ::stride, ::stride])
         if norm(restricted) == 0.0:
             raise ValueError("restricted reference solution vanishes")
         err = 0.0 if n == reference_size else relative_l2_error(sol.u, restricted)

@@ -3,7 +3,8 @@
 All fields live on a uniform K-by-J grid covering the square [-1, 1]^2 with
 periodic wraparound in both directions.  Values are stored in a (J, K) array
 indexed ``[j, k]`` with ``k`` the x-index and ``j`` the y-index, so the flat
-row-major buffer runs with k fastest.
+row-major buffer runs with k fastest; a two-component field stores its
+components as one (2, J, K) stack.
 
 The module provides the centered/one-sided difference stencils, the 5-point
 Laplacian, the grid inner product and norm, the Hadamard product, and the
@@ -108,99 +109,114 @@ class GridSpec:
         return np.meshgrid(self.x, self.y, indexing="xy")
 
 
-@dataclass(frozen=True)
-class ScalarField:
-    """One real scalar sampled on a periodic grid.
-
-    ``values`` has shape (J, K) and is stored read-only; all operators return
-    new fields.  Construction rejects non-finite entries, so a blow-up inside
-    a time stepper surfaces as :class:`NumericalFailureError` as soon as the
-    offending field is wrapped.
+class _Field:
+    """Values on one grid, stored read-only in an array of shape
+    ``_LEAD + grid.shape``.  Construction rejects non-finite entries, so a
+    blow-up inside a time stepper surfaces as :class:`NumericalFailureError`
+    as soon as the offending field is wrapped.  All operators return new
+    fields of the same type.
     """
+
+    _LEAD: tuple[int, ...] = ()
 
     grid: GridSpec
     values: np.ndarray
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != self.grid.shape:
+    def __init__(self, grid: GridSpec, values: np.ndarray):
+        # Takes ``values`` over without a copy; public constructors copy first.
+        shape = self._LEAD + grid.shape
+        if values.shape != shape:
             raise ValueError(
-                f"field shape {v.shape} does not match grid shape {self.grid.shape}"
+                f"field shape {values.shape} does not match grid shape {shape}"
             )
-        if v is self.values or v.base is not None or not v.flags.owndata:
-            v = v.copy()
-        if not np.all(np.isfinite(v)):
+        if not np.all(np.isfinite(values)):
             raise NumericalFailureError("field contains non-finite values")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        values.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def zeros(cls, grid: GridSpec) -> "ScalarField":
-        return cls(grid, np.zeros(grid.shape))
+    def _wrap(cls, grid: GridSpec, values: np.ndarray):
+        """A field over a C-contiguous float64 array the package just
+        computed and hands over (no copy)."""
+        field = cls.__new__(cls)
+        _Field.__init__(field, grid, values)
+        return field
+
+    @classmethod
+    def zeros(cls, grid: GridSpec):
+        return cls._wrap(grid, np.zeros(cls._LEAD + grid.shape))
+
+    def __add__(self, other):
+        _check_same_grid(self, other)
+        return self._wrap(self.grid, self.values + other.values)
+
+    def __sub__(self, other):
+        _check_same_grid(self, other)
+        return self._wrap(self.grid, self.values - other.values)
+
+    def __mul__(self, c: float):
+        return self._wrap(self.grid, self.values * float(c))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self._wrap(self.grid, -self.values)
+
+
+class ScalarField(_Field):
+    """One real scalar sampled on a periodic grid; ``values`` has shape (J, K)."""
+
+    def __init__(self, grid: GridSpec, values):
+        super().__init__(grid, np.array(values, dtype=np.float64, order="C"))
 
     @classmethod
     def full(cls, grid: GridSpec, value: float) -> "ScalarField":
-        return cls(grid, np.full(grid.shape, float(value)))
-
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        _check_same_grid(self, other)
-        return ScalarField(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        _check_same_grid(self, other)
-        return ScalarField(self.grid, self.values - other.values)
-
-    def __mul__(self, c: float) -> "ScalarField":
-        return ScalarField(self.grid, self.values * float(c))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ScalarField":
-        return ScalarField(self.grid, -self.values)
+        return cls._wrap(grid, np.full(grid.shape, float(value)))
 
 
-@dataclass(frozen=True)
-class FieldPair:
-    """Two-component vector field (velocity or momentum) on one grid."""
+class FieldPair(_Field):
+    """Two-component vector field (velocity or momentum) on one grid.
 
-    c1: ScalarField
-    c2: ScalarField
+    ``values`` is one (2, J, K) stack, component 1 first; ``c1`` and ``c2``
+    are :class:`ScalarField` views of its layers.
+    """
 
-    def __post_init__(self):
-        if self.c1.grid != self.c2.grid:
+    _LEAD = (2,)
+
+    def __init__(self, c1: ScalarField, c2: ScalarField):
+        if c1.grid != c2.grid:
             raise GridMismatchError("FieldPair components live on different grids")
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.c1.grid
-
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> "FieldPair":
-        z = ScalarField.zeros(grid)
-        return cls(z, z)
+        super().__init__(c1.grid, np.array([c1.values, c2.values]))
 
     @classmethod
     def from_arrays(cls, grid: GridSpec, a1: np.ndarray, a2: np.ndarray) -> "FieldPair":
-        return cls(ScalarField(grid, a1), ScalarField(grid, a2))
+        return cls._wrap(grid, np.array([a1, a2], dtype=np.float64))
 
-    def __add__(self, other: "FieldPair") -> "FieldPair":
-        return FieldPair(self.c1 + other.c1, self.c2 + other.c2)
+    @property
+    def c1(self) -> ScalarField:
+        return ScalarField._wrap(self.grid, self.values[0])
 
-    def __sub__(self, other: "FieldPair") -> "FieldPair":
-        return FieldPair(self.c1 - other.c1, self.c2 - other.c2)
-
-    def __mul__(self, c: float) -> "FieldPair":
-        return FieldPair(self.c1 * c, self.c2 * c)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "FieldPair":
-        return FieldPair(-self.c1, -self.c2)
+    @property
+    def c2(self) -> ScalarField:
+        return ScalarField._wrap(self.grid, self.values[1])
 
 
 def _check_same_grid(v, w):
+    if type(v) is not type(w):
+        raise TypeError(f"cannot combine {type(v).__name__} with {type(w).__name__}")
     if v.grid != w.grid:
         raise GridMismatchError(f"grid mismatch: {v.grid} vs {w.grid}")
+
+
+def _layer_inners(v, w) -> np.ndarray:
+    """sum(v*w)*dx*dy per (J, K) layer: a 0-d value for two ScalarFields,
+    one value per component for two FieldPairs."""
+    _check_same_grid(v, w)
+    return np.sum(v.values * w.values, axis=(-2, -1)) * v.grid.cell_area
 
 
 def inner(v, w) -> float:
@@ -209,24 +225,19 @@ def inner(v, w) -> float:
     Accepts two :class:`ScalarField` or two :class:`FieldPair` (in which case
     both components are summed).
     """
-    if isinstance(v, FieldPair):
-        _check_same_grid(v, w)
-        return inner(v.c1, w.c1) + inner(v.c2, w.c2)
-    _check_same_grid(v, w)
-    return float(np.sum(v.values * w.values)) * v.grid.cell_area
+    return float(np.sum(_layer_inners(v, w)))
 
 
 def norm(w) -> float:
-    """Grid norm sqrt(inner(w, w)); for a pair, both components are summed."""
-    if isinstance(w, FieldPair):
-        return float(np.hypot(norm(w.c1), norm(w.c2)))
-    return float(np.sqrt(np.sum(w.values * w.values) * w.grid.cell_area))
+    """Grid norm sqrt(inner(w, w)); for a pair, the hypot of the two
+    component norms."""
+    return float(np.hypot.reduce(np.sqrt(_layer_inners(w, w)), axis=None))
 
 
 def hadamard(v: ScalarField, w: ScalarField) -> ScalarField:
     """Pointwise product (v*w)_{k,j} = v_{k,j} w_{k,j}."""
     _check_same_grid(v, w)
-    return ScalarField(v.grid, v.values * w.values)
+    return ScalarField._wrap(v.grid, v.values * w.values)
 
 
 # ---------------------------------------------------------------------------
@@ -258,33 +269,33 @@ def _apply_q_arr(a: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 def d1x(f: ScalarField) -> ScalarField:
     """Centered first difference in x with periodic wraparound."""
-    return ScalarField(f.grid, _d1_arr(f.values, -1, f.grid.dx))
+    return ScalarField._wrap(f.grid, _d1_arr(f.values, -1, f.grid.dx))
 
 
 def d1y(f: ScalarField) -> ScalarField:
     """Centered first difference in y with periodic wraparound."""
-    return ScalarField(f.grid, _d1_arr(f.values, -2, f.grid.dy))
+    return ScalarField._wrap(f.grid, _d1_arr(f.values, -2, f.grid.dy))
 
 
 def d2(f: ScalarField) -> ScalarField:
     """5-point periodic Laplacian."""
-    return ScalarField(f.grid, _d2_arr(f.values, f.grid.dx, f.grid.dy))
+    return ScalarField._wrap(f.grid, _d2_arr(f.values, f.grid.dx, f.grid.dy))
 
 
 def dplus_x(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, _dplus_arr(f.values, -1, f.grid.dx))
+    return ScalarField._wrap(f.grid, _dplus_arr(f.values, -1, f.grid.dx))
 
 
 def dminus_x(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, _dminus_arr(f.values, -1, f.grid.dx))
+    return ScalarField._wrap(f.grid, _dminus_arr(f.values, -1, f.grid.dx))
 
 
 def dplus_y(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, _dplus_arr(f.values, -2, f.grid.dy))
+    return ScalarField._wrap(f.grid, _dplus_arr(f.values, -2, f.grid.dy))
 
 
 def dminus_y(f: ScalarField) -> ScalarField:
-    return ScalarField(f.grid, _dminus_arr(f.values, -2, f.grid.dy))
+    return ScalarField._wrap(f.grid, _dminus_arr(f.values, -2, f.grid.dy))
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +336,20 @@ def _solve_q_stack_arr(a: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def _solve_q_checked(a: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, float]:
-    """Solve and verify: stacked input gives the worst per-layer residual."""
+    """Solve and verify: stacked input gives the worst per-layer residual.
+
+    A momentum or residual whose norm is not finite (NaN or infinite
+    entries, or entries too large to square) cannot be verified and is
+    rejected without a residual.
+    """
     u = _solve_q_stack_arr(a, grid)
     norm_m = np.sqrt(np.sum(a * a, axis=(-2, -1)))
     r = _apply_q_arr(u, grid) - a
     norm_r = np.sqrt(np.sum(r * r, axis=(-2, -1)))
+    if not (np.all(np.isfinite(norm_m)) and np.all(np.isfinite(norm_r))):
+        raise NumericalFailureError(
+            "Helmholtz solve momentum or residual norm is not finite"
+        )
     with np.errstate(invalid="ignore"):
         rel = float(np.max(np.where(norm_m > 0.0, norm_r / norm_m, 0.0)))
     if rel > QSOLVE_RTOL:
@@ -341,10 +361,9 @@ def _solve_q_checked(a: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, float]:
 
 
 def apply_q(u):
-    """Apply Q = 1 - alpha^2 Lap to a :class:`ScalarField` or :class:`FieldPair`."""
-    if isinstance(u, FieldPair):
-        return FieldPair(apply_q(u.c1), apply_q(u.c2))
-    return ScalarField(u.grid, _apply_q_arr(u.values, u.grid))
+    """Apply Q = 1 - alpha^2 Lap to a :class:`ScalarField` or to both
+    components of a :class:`FieldPair`."""
+    return u._wrap(u.grid, _apply_q_arr(u.values, u.grid))
 
 
 def solve_q(m):
@@ -356,10 +375,8 @@ def solve_q(m):
     :class:`FieldPair`.  Raises :class:`NumericalFailureError` (carrying the
     achieved residual) if the residual check fails.
     """
-    if isinstance(m, FieldPair):
-        return FieldPair(solve_q(m.c1), solve_q(m.c2))
     u, _ = _solve_q_checked(m.values, m.grid)
-    return ScalarField(m.grid, u)
+    return m._wrap(m.grid, u)
 
 
 def _circulant_shift(n: int, s: int) -> np.ndarray:
@@ -384,11 +401,11 @@ def solve_q_dense(m):
     """Invert Q through a dense LU factorization (small grids only).
 
     Exists to cross-validate the spectral solve; refuses grids above
-    64x64 points.
+    64x64 points.  The components of a pair are solved one by one, since a
+    two-column solve rounds differently.
     """
-    if isinstance(m, FieldPair):
-        return FieldPair(solve_q_dense(m.c1), solve_q_dense(m.c2))
     grid = m.grid
     lu = _dense_q_lu(grid.K, grid.J, grid.alpha)
-    u = scipy.linalg.lu_solve(lu, m.values.ravel())
-    return ScalarField(grid, u.reshape(grid.shape))
+    layers = m.values.reshape(-1, grid.K * grid.J)
+    u = np.array([scipy.linalg.lu_solve(lu, b) for b in layers])
+    return m._wrap(grid, u.reshape(m.values.shape))

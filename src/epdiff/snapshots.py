@@ -26,10 +26,7 @@ def write_snapshot(u: FieldPair, t: float, path) -> None:
     """Write a velocity field and its time stamp to ``path``."""
     grid = u.grid
     header = _HEADER.pack(MAGIC, VERSION, grid.K, grid.J, grid.alpha, float(t))
-    payload = (
-        u.c1.values.astype("<f8", copy=False).tobytes()
-        + u.c2.values.astype("<f8", copy=False).tobytes()
-    )
+    payload = u.values.astype("<f8", copy=False).tobytes()
     try:
         Path(path).write_bytes(header + payload)
     except OSError as exc:
@@ -56,6 +53,4 @@ def read_snapshot(path) -> tuple[FieldPair, float]:
         )
     grid = GridSpec(k, j, alpha)
     data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    c1 = data[: k * j].reshape(grid.shape)
-    c2 = data[k * j :].reshape(grid.shape)
-    return FieldPair.from_arrays(grid, c1, c2), t
+    return FieldPair.from_arrays(grid, *data.reshape((2,) + grid.shape)), t

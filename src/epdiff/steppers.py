@@ -100,12 +100,15 @@ class Tolerance:
 
 CorrectorMode = Union[FixedCount, Tolerance]
 
+# Tolerance-mode corrector of scheme1 and of the scheme1 bootstrap.
+DEFAULT_CORRECTOR = Tolerance(rtol=1e-14, max_iter=200)
+
 
 @dataclass(frozen=True)
 class SchemeConfig:
     kind: SchemeKind
     dt: float
-    corrector: CorrectorMode = Tolerance(rtol=1e-14, max_iter=200)
+    corrector: CorrectorMode = DEFAULT_CORRECTOR
     bootstrap: BootstrapKind = BootstrapKind.RK4
 
     def __post_init__(self):
@@ -137,8 +140,8 @@ def _require_consecutive(s_nm1: State, s_n: State, dt: float):
         )
 
 
-def _pair_norm(a1: np.ndarray, a2: np.ndarray, area: float) -> float:
-    return math.sqrt((np.sum(a1 * a1) + np.sum(a2 * a2)) * area)
+def _pair_norm(a: np.ndarray, area: float) -> float:
+    return math.sqrt(np.sum(a * a, axis=(-2, -1)).sum() * area)
 
 
 def _finish(
@@ -167,13 +170,8 @@ def _finish(
 
 def _leapfrog(s_nm1: State, s_n: State, dt: float) -> np.ndarray:
     """The explicit two-step momentum M_{n-1} - 2 dt Gamma(M_n, U_n), stacked."""
-    grid = s_n.grid
-    g1, g2 = _gamma_arrays(
-        s_n.m.c1.values, s_n.m.c2.values, s_n.u.c1.values, s_n.u.c2.values,
-        grid.dx, grid.dy,
-    )
-    return np.stack(
-        [s_nm1.m.c1.values - (2.0 * dt) * g1, s_nm1.m.c2.values - (2.0 * dt) * g2]
+    return s_nm1.m.values - (2.0 * dt) * _gamma_arrays(
+        s_n.m.values, s_n.u.values, s_n.grid
     )
 
 
@@ -205,32 +203,19 @@ def step_scheme3(s_nm1: State, s_n: State, dt: float) -> StepResult:
     grid = s_n.grid
     stack = (2,) + grid.shape
     size = 2 * grid.K * grid.J
-    m1 = s_n.m.c1.values
-    m2 = s_n.m.c2.values
+    m_n = s_n.m.values
 
     def matvec(x: np.ndarray) -> np.ndarray:
         u = x.reshape(stack)
-        g1, g2 = _gamma_arrays(m1, m2, u[0], u[1], grid.dx, grid.dy)
-        y = _apply_q_arr(u, grid)
-        y[0] += dt * g1
-        y[1] += dt * g2
-        return y.ravel()
+        return (_apply_q_arr(u, grid) + dt * _gamma_arrays(m_n, u, grid)).ravel()
 
     def precond(x: np.ndarray) -> np.ndarray:
         return _solve_q_stack_arr(x.reshape(stack), grid).ravel()
 
     # Using the stored momentum for Q u_old keeps the evolved variable exact.
-    g1, g2 = _gamma_arrays(
-        m1, m2, s_nm1.u.c1.values, s_nm1.u.c2.values, grid.dx, grid.dy
-    )
-    b = np.stack([s_nm1.m.c1.values - dt * g1, s_nm1.m.c2.values - dt * g2]).ravel()
+    b = (s_nm1.m.values - dt * _gamma_arrays(m_n, s_nm1.u.values, grid)).ravel()
     # Linear extrapolation from the two known levels is a second-order guess.
-    x0 = np.stack(
-        [
-            2.0 * s_n.u.c1.values - s_nm1.u.c1.values,
-            2.0 * s_n.u.c2.values - s_nm1.u.c2.values,
-        ]
-    ).ravel()
+    x0 = (2.0 * s_n.u.values - s_nm1.u.values).ravel()
 
     iteration_cap = max(1, math.ceil(10.0 * math.sqrt(size)))
     restart = min(64, iteration_cap)
@@ -289,18 +274,15 @@ def step_scheme1_pc(
     """
     grid = s_n.grid
     area = grid.cell_area
-    mn1 = s_n.m.c1.values
-    mn2 = s_n.m.c2.values
-    un1 = s_n.u.c1.values
-    un2 = s_n.u.c2.values
+    m_n = s_n.m.values
+    u_n = s_n.u.values
 
     if s_nm1 is not None:
         _require_consecutive(s_nm1, s_n, dt)
         mp = _leapfrog(s_nm1, s_n, dt)
         up = _solve_q_stack_arr(mp, grid)
     else:
-        mp = np.stack([mn1, mn2])
-        up = np.stack([un1, un2])
+        mp, up = m_n, u_n
 
     mode = cfg.corrector
     max_passes = mode.count if isinstance(mode, FixedCount) else mode.max_iter
@@ -309,20 +291,17 @@ def step_scheme1_pc(
     quarter_dt = 0.25 * dt
 
     for _ in range(max_passes):
-        g1, g2 = _gamma_arrays(
-            mn1 + mp[0], mn2 + mp[1], un1 + up[0], un2 + up[1], grid.dx, grid.dy
-        )
-        mc = np.stack([mn1 - quarter_dt * g1, mn2 - quarter_dt * g2])
-        delta = _pair_norm(mc[0] - mp[0], mc[1] - mp[1], area)
+        mc = m_n - quarter_dt * _gamma_arrays(m_n + mp, u_n + up, grid)
+        delta = _pair_norm(mc - mp, area)
         increments.append(delta)
         mp = mc
         up = _solve_q_stack_arr(mp, grid)
         if isinstance(mode, Tolerance):
-            if delta <= mode.rtol * _pair_norm(mc[0], mc[1], area):
+            if delta <= mode.rtol * _pair_norm(mc, area):
                 converged = True
                 break
 
-    norm_mc = _pair_norm(mp[0], mp[1], area)
+    norm_mc = _pair_norm(mp, area)
     rel = increments[-1] / norm_mc if norm_mc > 0.0 else 0.0
     if not converged:
         raise NonConvergenceError(
@@ -341,28 +320,19 @@ def step_rk4(s_n: State, dt: float) -> StepResult:
     """
     grid = s_n.grid
 
-    def f(m1, m2, u1, u2):
-        g1, g2 = _gamma_arrays(m1, m2, u1, u2, grid.dx, grid.dy)
-        return -g1, -g2
+    def f(m: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return -_gamma_arrays(m, u, grid)
 
-    m1 = s_n.m.c1.values
-    m2 = s_n.m.c2.values
-    k1a, k1b = f(m1, m2, s_n.u.c1.values, s_n.u.c2.values)
+    def stage(m: np.ndarray) -> np.ndarray:
+        return f(m, _solve_q_stack_arr(m, grid))
 
-    def stage(ma, mb):
-        u = _solve_q_stack_arr(np.stack([ma, mb]), grid)
-        return f(ma, mb, u[0], u[1])
+    m = s_n.m.values
+    k1 = f(m, s_n.u.values)
+    k2 = stage(m + 0.5 * dt * k1)
+    k3 = stage(m + 0.5 * dt * k2)
+    k4 = stage(m + dt * k3)
 
-    k2a, k2b = stage(m1 + 0.5 * dt * k1a, m2 + 0.5 * dt * k1b)
-    k3a, k3b = stage(m1 + 0.5 * dt * k2a, m2 + 0.5 * dt * k2b)
-    k4a, k4b = stage(m1 + dt * k3a, m2 + dt * k3b)
-
-    m_new = np.stack(
-        [
-            m1 + (dt / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a),
-            m2 + (dt / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b),
-        ]
-    )
+    m_new = m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     u_new, res = _solve_q_checked(m_new, grid)
     return _finish(s_n, dt, u_new, m_new, res)
 
@@ -370,7 +340,7 @@ def step_rk4(s_n: State, dt: float) -> StepResult:
 def _bootstrap_result(s_0: State, dt: float, cfg: SchemeConfig) -> StepResult:
     if cfg.bootstrap is BootstrapKind.RK4:
         return step_rk4(s_0, dt)
-    pc_cfg = replace(cfg, corrector=Tolerance(rtol=1e-14, max_iter=200))
+    pc_cfg = replace(cfg, corrector=DEFAULT_CORRECTOR)
     return step_scheme1_pc(None, s_0, dt, pc_cfg)
 
 

@@ -17,13 +17,23 @@ from epdiff import (
     dminus_y,
     dplus_x,
     dplus_y,
+    gamma_apply,
     hadamard,
     inner,
     norm,
     solve_q,
     solve_q_dense,
 )
+from epdiff.grid import _solve_q_checked
 from conftest import random_field, random_pair
+
+# The public constructors that take caller arrays, each fed from a (2, J, K)
+# array.
+FROM_CALLER_ARRAY = {
+    "ScalarField": lambda g, a: ScalarField(g, a[0]),
+    "FieldPair": lambda g, a: FieldPair(ScalarField(g, a[0]), ScalarField(g, a[1])),
+    "from_arrays": lambda g, a: FieldPair.from_arrays(g, a[0], a[1]),
+}
 
 
 class TestGridSpec:
@@ -57,16 +67,20 @@ class TestFields:
             ScalarField(GridSpec(4, 4, 1.0), np.zeros((4, 5)))
 
     def test_values_are_read_only(self):
-        f = ScalarField.full(GridSpec(4, 4, 1.0), 1.0)
-        with pytest.raises(ValueError):
-            f.values[0, 0] = 2.0
+        g = GridSpec(4, 4, 1.0)
+        a = np.ones((2,) + g.shape)
+        fields = [ScalarField.full(g, 1.0)] + [make(g, a) for make in FROM_CALLER_ARRAY.values()]
+        for f in fields:
+            with pytest.raises(ValueError):
+                f.values[(0,) * f.values.ndim] = 2.0
 
     def test_construction_copies_caller_arrays(self):
         g = GridSpec(4, 4, 1.0)
-        a = np.zeros(g.shape)
-        f = ScalarField(g, a)
-        a[0, 0] = 7.0
-        assert f.values[0, 0] == 0.0
+        for make in FROM_CALLER_ARRAY.values():
+            a = np.zeros((2,) + g.shape)
+            f = make(g, a)
+            a[:, 0, 0] = 7.0
+            assert np.all(f.values == 0.0)
 
     def test_pair_components_must_share_grid(self):
         f = ScalarField.zeros(GridSpec(4, 4, 1.0))
@@ -120,6 +134,29 @@ class TestInnerAndNorm:
         expected = np.hypot(norm(p.c1), norm(p.c2))
         assert norm(p) == pytest.approx(expected, rel=1e-14)
         assert inner(p, p) == pytest.approx(norm(p) ** 2, rel=1e-13)
+
+
+@pytest.mark.parametrize("k,j", [(8, 8), (16, 16), (20, 20), (33, 17)])
+def test_pair_operators_equal_componentwise(k, j, rng):
+    # Exact equality: a pair's (2, J, K) stack must give the bits of the
+    # per-component ScalarField operators, which the output digests rest on.
+    g = GridSpec(k, j, 0.7)
+    p, q = random_pair(g, rng), random_pair(g, rng)
+    assert inner(p, q) == inner(p.c1, q.c1) + inner(p.c2, q.c2)
+    assert norm(p) == np.hypot(norm(p.c1), norm(p.c2))
+    for op in (apply_q, solve_q, solve_q_dense):
+        out = op(p)
+        assert np.array_equal(out.c1.values, op(p.c1).values)
+        assert np.array_equal(out.c2.values, op(p.c2).values)
+    # The bracket term by term, as its docstring spells it.
+    (m1, m2), (v1, v2) = (p.c1, p.c2), (q.c1, q.c2)
+    c1 = (hadamard(m1, d1x(v1)) + hadamard(m2, d1x(v2))
+          + d1x(hadamard(m1, v1)) + d1y(hadamard(m1, v2)))
+    c2 = (hadamard(m1, d1y(v1)) + hadamard(m2, d1y(v2))
+          + d1x(hadamard(m2, v1)) + d1y(hadamard(m2, v2)))
+    out = gamma_apply(p, q)
+    assert np.array_equal(out.c1.values, c1.values)
+    assert np.array_equal(out.c2.values, c2.values)
 
 
 class TestHadamard:
@@ -327,6 +364,18 @@ class TestHelmholtz:
         row = rng.standard_normal(g.K)
         u = solve_q(ScalarField(g, np.tile(row, (g.J, 1)))).values
         assert all(np.array_equal(u[0], u[j]) for j in range(g.J))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_check_rejects_non_finite_momentum(self, bad):
+        # NaN input reads as residual 0 and inf as residual NaN, and neither
+        # compares above the tolerance; the rejection carries no residual,
+        # since summary.json cannot encode NaN.
+        g = GridSpec(8, 8, 1.0)
+        m = np.ones((2,) + g.shape)
+        m[1, 3, 4] = bad
+        with np.errstate(all="ignore"), pytest.raises(NumericalFailureError) as err:
+            _solve_q_checked(m, g)
+        assert err.value.residual is None
 
     def test_solve_of_zero_is_zero(self):
         g = GridSpec(8, 8, 1.0)
