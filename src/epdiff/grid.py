@@ -14,6 +14,7 @@ inverse (spectral, with a dense fallback for cross-validation).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -243,10 +244,61 @@ def hadamard(v: ScalarField, w: ScalarField) -> ScalarField:
 # ---------------------------------------------------------------------------
 # Stencil kernels on raw arrays whose trailing axes are (J, K): the last axis
 # is x (index k), the second-to-last is y (index j).  Leading axes, if any,
-# are batch dimensions.
+# are batch dimensions.  The kernels allocate only the arrays they return;
+# their temporaries live in per-thread scratch.
 
-def _d1_arr(a: np.ndarray, axis: int, h: float) -> np.ndarray:
-    return (np.roll(a, -1, axis) - np.roll(a, 1, axis)) * (0.5 / h)
+_SCRATCH = threading.local()
+
+
+def _scratch(name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A float64 work array of ``shape``, private to the calling thread.
+
+    Each kernel uses names of its own, so a kernel it calls never writes
+    its buffers, and no kernel returns a scratch array.  A thread keeps
+    buffers for one grid shape; a request on another grid drops them, so
+    resident memory stays bounded.
+    """
+    try:
+        return _SCRATCH.buffers[name, shape]
+    except (AttributeError, KeyError):
+        pass
+    if getattr(_SCRATCH, "grid_shape", None) != shape[-2:]:
+        _SCRATCH.grid_shape = shape[-2:]
+        _SCRATCH.buffers = {}
+    buf = _SCRATCH.buffers[name, shape] = np.empty(shape)
+    return buf
+
+
+def _periodic_pair(op, a: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """out[k] = op(a[k+1], a[k-1]) along ``axis`` (-1 or -2), periodic.
+
+    ``out`` is C-contiguous.  The interior is one pass over the flat
+    buffers, a neighbour ``shift`` entries away; the first and last index
+    along ``axis``, where that pass reads across a row or layer boundary,
+    are then overwritten with their wrapped neighbours.
+    """
+
+    def at(index):
+        return (..., index) if axis == -1 else (..., index, slice(None))
+
+    shift = 1 if axis == -1 else a.shape[-1]
+    flat, res = a.reshape(-1), out.reshape(-1)
+    op(flat[2 * shift :], flat[: -2 * shift], out=res[shift:-shift])
+    op(a[at(1)], a[at(-1)], out=out[at(0)])
+    op(a[at(0)], a[at(-2)], out=out[at(-1)])
+    return out
+
+
+def _d1_arr(
+    a: np.ndarray, axis: int, h: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Centered difference (a[k+1] - a[k-1]) * (0.5/h) along ``axis``,
+    written into ``out`` (a new array if None)."""
+    if out is None:
+        out = np.empty(a.shape)
+    _periodic_pair(np.subtract, a, axis, out)
+    out *= 0.5 / h
+    return out
 
 
 def _dplus_arr(a: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -258,13 +310,22 @@ def _dminus_arr(a: np.ndarray, axis: int, h: float) -> np.ndarray:
 
 
 def _d2_arr(a: np.ndarray, dx: float, dy: float) -> np.ndarray:
-    lap_x = (np.roll(a, -1, -1) + np.roll(a, 1, -1) - 2.0 * a) * (1.0 / dx**2)
-    lap_y = (np.roll(a, -1, -2) + np.roll(a, 1, -2) - 2.0 * a) * (1.0 / dy**2)
-    return lap_x + lap_y
+    """5-point Laplacian: ((a[k+1] + a[k-1]) - 2a) * (1/h^2), x then y."""
+    two_a = np.multiply(a, 2.0, out=_scratch("d2_two_a", a.shape))
+    lap = _periodic_pair(np.add, a, -1, np.empty(a.shape))
+    lap -= two_a
+    lap *= 1.0 / dx**2
+    lap_y = _periodic_pair(np.add, a, -2, _scratch("d2_lap_y", a.shape))
+    lap_y -= two_a
+    lap_y *= 1.0 / dy**2
+    lap += lap_y
+    return lap
 
 
 def _apply_q_arr(a: np.ndarray, grid: GridSpec) -> np.ndarray:
-    return a - grid.alpha**2 * _d2_arr(a, grid.dx, grid.dy)
+    q = _d2_arr(a, grid.dx, grid.dy)
+    q *= grid.alpha**2
+    return np.subtract(a, q, out=q)
 
 
 def d1x(f: ScalarField) -> ScalarField:
@@ -327,12 +388,15 @@ def _solve_q_stack_arr(a: np.ndarray, grid: GridSpec) -> np.ndarray:
     """
     lam = _helmholtz_symbol(grid.K, grid.J, grid.alpha)
     rows = a.mean(axis=-2)
-    rest = a - rows[..., None, :]
-    u_rows = scipy.fft.irfft(scipy.fft.rfft(rows, axis=-1) / lam[0], n=grid.K, axis=-1)
-    u_rest = scipy.fft.irfft2(
-        scipy.fft.rfft2(rest, axes=(-2, -1)) / lam, s=grid.shape, axes=(-2, -1)
-    )
-    return u_rows[..., None, :] + u_rest
+    rest = np.subtract(a, rows[..., None, :], out=_scratch("qsolve_rest", a.shape))
+    spec_rows = scipy.fft.rfft(rows, axis=-1)
+    spec_rows /= lam[0]
+    u_rows = scipy.fft.irfft(spec_rows, n=grid.K, axis=-1)
+    spec = scipy.fft.rfft2(rest, axes=(-2, -1))
+    spec /= lam
+    u = scipy.fft.irfft2(spec, s=grid.shape, axes=(-2, -1))
+    u += u_rows[..., None, :]
+    return u
 
 
 def _solve_q_checked(a: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, float]:
@@ -343,9 +407,12 @@ def _solve_q_checked(a: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, float]:
     rejected without a residual.
     """
     u = _solve_q_stack_arr(a, grid)
-    norm_m = np.sqrt(np.sum(a * a, axis=(-2, -1)))
-    r = _apply_q_arr(u, grid) - a
-    norm_r = np.sqrt(np.sum(r * r, axis=(-2, -1)))
+    square = np.multiply(a, a, out=_scratch("qcheck_square", a.shape))
+    norm_m = np.sqrt(np.sum(square, axis=(-2, -1)))
+    r = _apply_q_arr(u, grid)
+    r -= a
+    r *= r
+    norm_r = np.sqrt(np.sum(r, axis=(-2, -1)))
     if not (np.all(np.isfinite(norm_m)) and np.all(np.isfinite(norm_r))):
         raise NumericalFailureError(
             "Helmholtz solve momentum or residual norm is not finite"

@@ -205,9 +205,13 @@ def step_scheme3(s_nm1: State, s_n: State, dt: float) -> StepResult:
     size = 2 * grid.K * grid.J
     m_n = s_n.m.values
 
+    def operator(u: np.ndarray, qu: np.ndarray) -> np.ndarray:
+        """(Q + dt*Gamma_n) u, flattened, given qu = Q u."""
+        return (qu + dt * _gamma_arrays(m_n, u, grid)).ravel()
+
     def matvec(x: np.ndarray) -> np.ndarray:
         u = x.reshape(stack)
-        return (_apply_q_arr(u, grid) + dt * _gamma_arrays(m_n, u, grid)).ravel()
+        return operator(u, _apply_q_arr(u, grid))
 
     def precond(x: np.ndarray) -> np.ndarray:
         return _solve_q_stack_arr(x.reshape(stack), grid).ravel()
@@ -225,21 +229,29 @@ def step_scheme3(s_nm1: State, s_n: State, dt: float) -> StepResult:
         nonlocal iters
         iters += 1
 
+    # An explicit dtype keeps scipy from probing each operator once per
+    # step with an int8 zero vector.
     x, info = scipy.sparse.linalg.gmres(
-        scipy.sparse.linalg.LinearOperator((size, size), matvec=matvec),
+        scipy.sparse.linalg.LinearOperator(
+            (size, size), matvec=matvec, dtype=np.float64
+        ),
         b,
         x0=x0,
         rtol=SCHEME3_RTOL,
         atol=0.0,
         restart=restart,
         maxiter=max(1, math.ceil(iteration_cap / restart)),
-        M=scipy.sparse.linalg.LinearOperator((size, size), matvec=precond),
+        M=scipy.sparse.linalg.LinearOperator(
+            (size, size), matvec=precond, dtype=np.float64
+        ),
         callback=count,
         callback_type="pr_norm",
     )
+    u = x.reshape(stack)
+    qu = _apply_q_arr(u, grid)
     norm_b = float(np.linalg.norm(b))
     rel_res = (
-        float(np.linalg.norm(matvec(x) - b)) / norm_b if norm_b > 0.0 else 0.0
+        float(np.linalg.norm(operator(u, qu) - b)) / norm_b if norm_b > 0.0 else 0.0
     )
     if not np.all(np.isfinite(x)) or rel_res > SCHEME3_RESIDUAL_CAP:
         raise NonConvergenceError(
@@ -247,9 +259,7 @@ def step_scheme3(s_nm1: State, s_n: State, dt: float) -> StepResult:
             f"(cap {SCHEME3_RESIDUAL_CAP:.1e}, {iters} iterations)",
             residual=rel_res,
         )
-
-    u = x.reshape(stack)
-    return _finish(s_n, dt, u, _apply_q_arr(u, grid), rel_res)
+    return _finish(s_n, dt, u, qu, rel_res)
 
 
 def step_scheme1_pc(

@@ -24,7 +24,14 @@ from epdiff import (
     solve_q,
     solve_q_dense,
 )
-from epdiff.grid import _solve_q_checked
+from epdiff.core import _gamma_arrays
+from epdiff.grid import (
+    _apply_q_arr,
+    _d1_arr,
+    _d2_arr,
+    _solve_q_checked,
+    _solve_q_stack_arr,
+)
 from conftest import random_field, random_pair
 
 # The public constructors that take caller arrays, each fed from a (2, J, K)
@@ -391,3 +398,62 @@ class TestPeriodicity:
             direct = op(shifted).values
             rolled = np.roll(op(f).values, (2, 3), axis=(0, 1))
             assert np.array_equal(direct, rolled)
+
+
+# Reference implementations: the np.roll stencils the slicing kernels
+# replaced, in their exact operation order.
+def roll_d1(a, axis, h):
+    return (np.roll(a, -1, axis) - np.roll(a, 1, axis)) * (0.5 / h)
+
+
+def roll_d2(a, dx, dy):
+    lap_x = (np.roll(a, -1, -1) + np.roll(a, 1, -1) - 2.0 * a) * (1.0 / dx**2)
+    lap_y = (np.roll(a, -1, -2) + np.roll(a, 1, -2) - 2.0 * a) * (1.0 / dy**2)
+    return lap_x + lap_y
+
+
+def roll_gamma(m, v, g):
+    m1, m2 = m
+    v1, v2 = v
+    dxs = roll_d1(np.stack([v1, v2, m1 * v1, m2 * v1]), -1, g.dx)
+    dys = roll_d1(np.stack([v1, v2, m1 * v2, m2 * v2]), -2, g.dy)
+    return np.stack(
+        [
+            m1 * dxs[0] + m2 * dxs[1] + dxs[2] + dys[2],
+            m1 * dys[0] + m2 * dys[1] + dxs[3] + dys[3],
+        ]
+    )
+
+
+class TestKernels:
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["layer", "stack"])
+    @pytest.mark.parametrize("k,j", [(3, 3), (4, 5), (20, 20), (33, 17)])
+    def test_match_roll_stencils_bitwise(self, k, j, lead, rng):
+        g = GridSpec(k, j, 0.7)
+        a = rng.standard_normal(lead + g.shape)
+        assert np.array_equal(_d1_arr(a, -1, g.dx), roll_d1(a, -1, g.dx))
+        assert np.array_equal(_d1_arr(a, -2, g.dy), roll_d1(a, -2, g.dy))
+        assert np.array_equal(_d2_arr(a, g.dx, g.dy), roll_d2(a, g.dx, g.dy))
+        q = a - g.alpha**2 * roll_d2(a, g.dx, g.dy)
+        assert np.array_equal(_apply_q_arr(a, g), q)
+        if lead:
+            v = rng.standard_normal(lead + g.shape)
+            assert np.array_equal(_gamma_arrays(a, v, g), roll_gamma(a, v, g))
+
+    def test_results_are_fresh_arrays(self, rng):
+        # Callers keep results across kernel calls (RK4 holds k1..k4), so no
+        # result may share memory with the kernels' scratch or a later result.
+        g = GridSpec(16, 12, 0.7)
+        m, v, w = rng.standard_normal((3, 2) + g.shape)
+        kernels = {
+            "_gamma_arrays": lambda x: _gamma_arrays(m, x, g),
+            "_apply_q_arr": lambda x: _apply_q_arr(x, g),
+            "_solve_q_stack_arr": lambda x: _solve_q_stack_arr(x, g),
+            "_solve_q_checked": lambda x: _solve_q_checked(x, g)[0],
+        }
+        for name, kernel in kernels.items():
+            first = kernel(v)
+            kept = first.copy()
+            second = kernel(w)
+            assert not np.shares_memory(first, second), name
+            assert np.array_equal(first, kept), name

@@ -1,6 +1,9 @@
 """Time steppers: conservation structure, solver validation, and the driver."""
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -186,6 +189,35 @@ class TestScheme3:
             swapped = defect(c, b, a, -dt)
             scale = norm(fwd) + norm(b.m) * (norm(a.u) + norm(c.u))
             assert norm(fwd - swapped) <= 1e-12 * scale
+
+    def test_kernels_see_only_float64_input(self, rng, monkeypatch):
+        # Each kernel runs on float64 stacks only (no dtype probe by scipy),
+        # Q is applied once per matvec plus once to the accepted solution,
+        # and the bracket once per matvec plus once each for b and the
+        # residual check.
+        import epdiff.steppers as steppers
+
+        g = GridSpec(12, 12, 0.8)
+        dt = 0.01
+        s0 = random_state(g, rng)
+        s1 = step_rk4(s0, dt).state
+        calls = {}
+        dtypes = set()
+        for name in ("_gamma_arrays", "_apply_q_arr", "_solve_q_stack_arr", "_solve_q_checked"):
+            kernel = getattr(steppers, name)
+
+            def spy(*args, kernel=kernel, name=name):
+                calls[name] = calls.get(name, 0) + 1
+                dtypes.update(a.dtype for a in args if isinstance(a, np.ndarray))
+                return kernel(*args)
+
+            monkeypatch.setattr(steppers, name, spy)
+        step_scheme3(s0, s1, dt)
+        assert dtypes == {np.dtype(np.float64)}
+        preconditioner = calls["_solve_q_stack_arr"]
+        assert preconditioner > 0
+        assert calls["_apply_q_arr"] == preconditioner + 1
+        assert calls["_gamma_arrays"] == preconditioner + 2
 
 
 class TestScheme1PredictorCorrector:
@@ -474,3 +506,34 @@ class TestIntegrate:
         assert len(rec.series) == n + 1
         # Step 1 is the RK4 bootstrap; every step computes one energy.
         assert calls == {"step": n - 1, "energy": n}
+
+    def test_threads_match_sequential_runs(self, rng):
+        # The kernels' scratch is per thread: runs at once on one grid, more
+        # of them than cores and switching often, must each give the bits of
+        # the same run alone.
+        g = GridSpec(64, 64, 0.5)
+        initials = [State.from_velocity(0.1 * random_pair(g, rng)) for _ in range(3)]
+        kinds = (SchemeKind.SCHEME2, SchemeKind.SCHEME3, SchemeKind.RK4)
+        start = threading.Barrier(len(initials), timeout=30)
+
+        def run(initial, wait=False):
+            if wait:
+                start.wait()
+            out = []
+            for kind in kinds:
+                rec = integrate(initial, SchemeConfig(kind, 1e-3), 6e-3)
+                final = rec.states_tail[-1]
+                out += [final.u.values, final.m.values, rec.column("energy")]
+            return out
+
+        alone = [run(s) for s in initials]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(initials)) as pool:
+                futures = [pool.submit(run, s, True) for s in initials]
+                together = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for seq, par in zip(alone, together):
+            assert all(np.array_equal(a, b) for a, b in zip(seq, par))
