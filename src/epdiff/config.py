@@ -253,6 +253,11 @@ def build_config(command: str, flags: dict[str, object]) -> ExperimentConfig:
     snapshot_every = as_int("snapshot_every", 0)
     if snapshot_every < 0:
         raise ConfigError("snapshot cadence must be >= 0")
+    bench_steps = as_int("bench_steps", 20)
+    bench_reps = as_int("bench_reps", 3)
+    for key, value in (("bench_steps", bench_steps), ("bench_reps", bench_reps)):
+        if value < 1:
+            raise ConfigError(f"{key} must be at least 1, got {value}")
 
     cfg = ExperimentConfig(
         command=command,
@@ -275,8 +280,8 @@ def build_config(command: str, flags: dict[str, object]) -> ExperimentConfig:
         grids=grid_list,
         reference_grid=_parse_grid(str(get("reference_grid") or "256")),
         bootstrap=bootstrap,
-        bench_steps=as_int("bench_steps", 20),
-        bench_reps=as_int("bench_reps", 3),
+        bench_steps=bench_steps,
+        bench_reps=bench_reps,
     )
     if cfg.amplitude <= 0:
         raise ConfigError("amplitude must be positive")

@@ -14,6 +14,7 @@ inverse (spectral, with a dense fallback for cross-validation).
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -408,17 +409,19 @@ def _solve_q_checked(a: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, float]:
     """
     u = _solve_q_stack_arr(a, grid)
     square = np.multiply(a, a, out=_scratch("qcheck_square", a.shape))
-    norm_m = np.sqrt(np.sum(square, axis=(-2, -1)))
+    sq_m = np.sum(square, axis=(-2, -1)).ravel().tolist()
     r = _apply_q_arr(u, grid)
     r -= a
     r *= r
-    norm_r = np.sqrt(np.sum(r, axis=(-2, -1)))
-    if not (np.all(np.isfinite(norm_m)) and np.all(np.isfinite(norm_r))):
-        raise NumericalFailureError(
-            "Helmholtz solve momentum or residual norm is not finite"
-        )
-    with np.errstate(invalid="ignore"):
-        rel = float(np.max(np.where(norm_m > 0.0, norm_r / norm_m, 0.0)))
+    sq_r = np.sum(r, axis=(-2, -1)).ravel().tolist()
+    rel = 0.0
+    for nm, nr in zip(map(math.sqrt, sq_m), map(math.sqrt, sq_r)):
+        if not (math.isfinite(nm) and math.isfinite(nr)):
+            raise NumericalFailureError(
+                "Helmholtz solve momentum or residual norm is not finite"
+            )
+        if nm > 0.0:
+            rel = max(rel, nr / nm)
     if rel > QSOLVE_RTOL:
         raise NumericalFailureError(
             f"Helmholtz solve residual {rel:.3e} exceeds {QSOLVE_RTOL:.1e}",

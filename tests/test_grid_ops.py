@@ -26,6 +26,7 @@ from epdiff import (
 )
 from epdiff.core import _gamma_arrays
 from epdiff.grid import (
+    QSOLVE_RTOL,
     _apply_q_arr,
     _d1_arr,
     _d2_arr,
@@ -383,6 +384,18 @@ class TestHelmholtz:
         with np.errstate(all="ignore"), pytest.raises(NumericalFailureError) as err:
             _solve_q_checked(m, g)
         assert err.value.residual is None
+
+    @pytest.mark.parametrize("zero", [0, 1])
+    def test_check_skips_zero_layer(self, rng, zero):
+        # A zero layer has no relative residual: the verdict beside it is
+        # the other layer's, as when that layer is checked alone.
+        g = GridSpec(8, 8, 1.0)
+        m = np.zeros((2,) + g.shape)
+        m[1 - zero] = rng.standard_normal(g.shape)
+        u, res = _solve_q_checked(m, g)
+        u_alone, res_alone = _solve_q_checked(m[1 - zero].copy(), g)
+        assert res == res_alone and 0.0 < res <= QSOLVE_RTOL
+        assert np.array_equal(u[1 - zero], u_alone) and np.all(u[zero] == 0.0)
 
     def test_solve_of_zero_is_zero(self):
         g = GridSpec(8, 8, 1.0)

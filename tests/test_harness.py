@@ -62,6 +62,17 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             read_config_file(tmp_path / "nope.cfg")
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("key", ["bench_steps", "bench_reps"])
+    def test_bench_counts_must_be_positive(self, tmp_path, key, value):
+        # Zero reps used to fail only after the run, in the slope fit.
+        cfg_file = tmp_path / "bench.cfg"
+        cfg_file.write_text(f"{key} = {value}\n")
+        for flags in ({"config": cfg_file}, {key: value}):
+            with pytest.raises(ConfigError, match=key):
+                build_config("bench", flags)
+        assert getattr(build_config("bench", {key: "1"}), key) == 1
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_defaults_resolve_whole_step_counts(self, command):
         # A default that is not a whole number of steps fails before it runs.
