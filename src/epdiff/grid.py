@@ -21,7 +21,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.fft
-import scipy.linalg
 
 from .errors import GridMismatchError, NumericalFailureError
 
@@ -455,6 +454,10 @@ def _circulant_shift(n: int, s: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _dense_q_lu(K: int, J: int, alpha: float):
+    # scipy.linalg is imported here, not at module level: only this
+    # cross-validation path needs it, and it slows `import epdiff`.
+    import scipy.linalg
+
     if K * J > _DENSE_MAX_POINTS:
         raise ValueError(f"dense Q factorization refused for {K}x{J} grid")
     dx = 2.0 / K
@@ -474,6 +477,8 @@ def solve_q_dense(m):
     64x64 points.  The components of a pair are solved one by one, since a
     two-column solve rounds differently.
     """
+    import scipy.linalg
+
     grid = m.grid
     lu = _dense_q_lu(grid.K, grid.J, grid.alpha)
     layers = m.values.reshape(-1, grid.K * grid.J)

@@ -15,7 +15,6 @@ from enum import Enum
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.linalg.lapack import dlartg
 
 from .core import (
     State,
@@ -31,7 +30,6 @@ from .grid import (
     FieldPair,
     _apply_q_arr,
     _check_same_grid,
-    _scratch,
     _solve_q_checked,
     _solve_q_stack_arr,
     norm,
@@ -185,188 +183,69 @@ def step_scheme2(s_nm1: State, s_n: State, dt: float) -> StepResult:
     return _finish(s_n, dt, u_new, m_new, res)
 
 
-def _vec_norm(v: np.ndarray) -> float:
-    """Euclidean norm of a 1-D float64 array: ``np.linalg.norm``'s
-    arithmetic (the square root of ``v.dot(v)``) without its dispatch."""
-    return math.sqrt(v.dot(v))
-
-
-_EPS = float(np.finfo(np.float64).eps)
-
-
-def _gmres(matvec, psolve, b, x0, rtol, maxiter, basis):
-    """Restarted GMRES (Saad & Schultz 1986) for A x = b, left-preconditioned.
-
-    Repeats scipy's pure-Python ``scipy.sparse.linalg.gmres`` (scipy >= 1.12)
-    with ``atol=0`` operation for operation, so that x and the iteration
-    count keep its bits: modified Gram-Schmidt, Givens rotations from LAPACK
-    ``dlartg``, the inner tolerance ``ptol`` taken from ``||M b||`` and
-    adapted at each restart, and the same back-substitution and ``y @ V``.
-    The Hessenberg and rotation entries are Python floats, and the Krylov
-    vectors live in ``basis``, a (restart + 1, n) work array.  scipy clamps
-    ``restart`` to n; the caller does that when sizing ``basis``.
-
-    ``matvec(x)`` returns ``(A x, aux)`` and ``psolve(x)`` applies the
-    preconditioner M.  ``maxiter`` counts restart cycles.  Returns
-    ``(x, iterations, r, aux)``: the iterate, the number of inner iterations,
-    and the true residual ``r = b - A x`` of that iterate together with the
-    ``aux`` of the product it came from.
-    """
-
-    def residual(x):
-        ax, aux = matvec(x)
-        return b - ax, aux
-
-    x = np.array(x0, dtype=np.float64)
-    bnrm2 = _vec_norm(b)
-    if bnrm2 == 0.0:
-        # scipy returns b itself as the solution.
-        x = b.copy()
-        return (x, 0, *residual(x))
-    atol = max(0.0, rtol * bnrm2)
-    restart = len(basis) - 1
-    prod = np.empty_like(b)
-    iterations = 0
-
-    ptol_max_factor = 1.0
-    ptol = _vec_norm(psolve(b)) * min(ptol_max_factor, atol / bnrm2)
-    presid = 0.0
-
-    # A zero start needs no product: its residual is b.
-    r, aux = residual(x) if x.any() else (b, None)
-    if _vec_norm(r) < atol:
-        return (x, 0, r, aux) if aux is not None else (x, 0, *residual(x))
-
-    for _ in range(maxiter):
-        basis[0] = psolve(r)
-        beta = _vec_norm(basis[0])
-        basis[0] *= 1 / beta
-        # Right-hand side of the least-squares problem; the entry after the
-        # last rotated one is always 0.
-        rhs = [beta] + [0.0] * restart
-        hess = []  # hess[col][k]: entry (k, col) of the Hessenberg matrix
-        givens = []
-        breakdown = False
-        for col in range(restart):
-            w = psolve(matvec(basis[col])[0])
-            h0 = _vec_norm(w)
-            hcol = []
-            for k in range(col + 1):
-                hk = float(np.dot(basis[k], w))
-                hcol.append(hk)
-                w -= np.multiply(basis[k], hk, out=prod)
-            h1 = _vec_norm(w)
-            if h1 <= _EPS * h0:
-                # Exact solution: the space is invariant.
-                hcol.append(0.0)
-                breakdown = True
-            else:
-                hcol.append(h1)
-                np.multiply(w, 1 / h1, out=basis[col + 1])
-
-            for k, (c, s) in enumerate(givens):
-                n0, n1 = hcol[k], hcol[k + 1]
-                hcol[k] = c * n0 + s * n1
-                hcol[k + 1] = -s * n0 + c * n1
-            c, s, mag = dlartg(hcol[col], hcol[col + 1])
-            givens.append((c, s))
-            hcol[col], hcol[col + 1] = mag, 0.0
-            hess.append(hcol)
-
-            tmp = -s * rhs[col]
-            rhs[col] = c * rhs[col]
-            rhs[col + 1] = tmp
-            presid = abs(tmp)
-            iterations += 1
-            if presid <= ptol or breakdown:
-                break
-
-        # Back-substitution on the triangular system, skipping zero entries
-        # and zeroing a singular last one, as scipy does.
-        if hess[col][col] == 0.0:
-            rhs[col] = 0.0
-        y = rhs[: col + 1]
-        for k in range(col, 0, -1):
-            if y[k] != 0.0:
-                y[k] /= hess[k][k]
-                for i in range(k):
-                    y[i] -= y[k] * hess[k][i]
-        if y[0] != 0.0:
-            y[0] /= hess[0][0]
-        x += np.array(y) @ basis[: col + 1]
-
-        r, aux = residual(x)
-        rnorm = _vec_norm(r)
-        if rnorm <= atol or breakdown:
-            break
-        if presid <= ptol:
-            ptol_max_factor = max(_EPS, 0.25 * ptol_max_factor)
-        else:
-            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
-        ptol = presid * min(ptol_max_factor, atol / rnorm)
-    return x, iterations, r, aux
-
-
 def step_scheme3(s_nm1: State, s_n: State, dt: float) -> StepResult:
     """Linearly implicit two-step scheme: solves the coupled system
     (Q + dt*Gamma_n) U_new = (Q - dt*Gamma_n) U_old in the 2*K*J velocity
     unknowns, with the bracket coefficients frozen at the middle level.
 
-    Conserves energy but not the linear momenta.  The system is solved
-    matrix-free by restarted GMRES (``_gmres``) preconditioned with the
-    spectral Q-inverse; the operator is Q plus an O(dt) skew perturbation,
-    so a handful of iterations suffice.  The Krylov basis lives in
-    per-thread scratch, and the product GMRES takes of its accepted
-    solution gives both the true residual and Q U_new, the new momentum.
-    The corrector's fixed-point iteration x <- Q^-1 (b - dt Gamma_n x) is
-    not used: it converges only while the spectral radius of
-    dt Q^-1 Gamma_n stays below 1, and on the 16x16 random state of the
-    dense cross-validation test (alpha = 0.8, dt = 0.01) that radius is 1.09,
-    while GMRES converges for any nonsingular operator.  Fails if the
-    relative residual cannot be pushed below ``SCHEME3_RESIDUAL_CAP``.
+    Conserves energy but not the linear momenta.  Q is symmetric positive
+    definite and dt*Gamma_n is skew-symmetric, so the system is solved
+    matrix-free by the generalized conjugate gradient method of Concus,
+    Golub and Widlund for "SPD plus skew" operators, with the spectral
+    Q-inverse as its splitting.  Its three-term recurrence cannot break
+    down; each iteration costs one product with the operator and one
+    Q-solve, and it keeps no Krylov basis and never restarts.  The product
+    of the accepted iterate gives both the true residual, which the stop
+    test uses, and Q U_new, the new momentum.  The corrector's fixed-point
+    iteration x <- Q^-1 (b - dt Gamma_n x) is not used: it converges only
+    while the spectral radius of dt Q^-1 Gamma_n stays below 1, and on the
+    16x16 random state of the dense cross-validation test (alpha = 0.8,
+    dt = 0.01) that radius is 1.09.  Fails if the relative residual cannot
+    be pushed below ``SCHEME3_RESIDUAL_CAP``.
     """
     _require_consecutive(s_nm1, s_n, dt)
     grid = s_n.grid
-    stack = (2,) + grid.shape
-    size = 2 * grid.K * grid.J
     m_n = s_n.m.values
 
-    def matvec(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(Q + dt*Gamma_n) x, flattened, and Q x as a stack."""
-        u = x.reshape(stack)
-        qu = _apply_q_arr(u, grid)
-        return (qu + dt * _gamma_arrays(m_n, u, grid)).ravel(), qu
-
-    def precond(x: np.ndarray) -> np.ndarray:
-        return _solve_q_stack_arr(x.reshape(stack), grid).ravel()
-
     # Using the stored momentum for Q u_old keeps the evolved variable exact.
-    b = (s_nm1.m.values - dt * _gamma_arrays(m_n, s_nm1.u.values, grid)).ravel()
-    # Linear extrapolation from the two known levels is a second-order guess.
-    x0 = (2.0 * s_n.u.values - s_nm1.u.values).ravel()
+    b = s_nm1.m.values - dt * _gamma_arrays(m_n, s_nm1.u.values, grid)
+    norm_b = math.sqrt(np.vdot(b, b))
+    # Linear extrapolation from the two known levels is a second-order
+    # guess; a zero right-hand side has the zero solution.
+    x = 2.0 * s_n.u.values - s_nm1.u.values if norm_b > 0.0 else np.zeros_like(b)
+    omega = 1.0
 
-    iteration_cap = max(1, math.ceil(10.0 * math.sqrt(size)))
-    restart = min(64, iteration_cap)
-    # scipy's gmres clamps the restart length to the system size.
-    basis = _scratch("gmres_basis", (min(restart, size) + 1,) + stack)
-    x, iters, r, qu = _gmres(
-        matvec,
-        precond,
-        b,
-        x0,
-        SCHEME3_RTOL,
-        max(1, math.ceil(iteration_cap / restart)),
-        basis.reshape(len(basis), size),
-    )
-    norm_b = _vec_norm(b)
-    rel_res = _vec_norm(r) / norm_b if norm_b > 0.0 else 0.0
-    if not np.all(np.isfinite(x)) or rel_res > SCHEME3_RESIDUAL_CAP:
+    # Iterate k: r_k = b - A x_k, z_k = Q^-1 r_k, rho_k = (z_k, r_k), then
+    # x_1 = x_0 + z_0 and x_{k+1} = x_{k-1} + omega_{k+1} (z_k + x_k - x_{k-1})
+    # with omega_{k+1} = 1 / (1 + (rho_k / rho_{k-1}) / omega_k).
+    iteration_cap = max(1, math.ceil(10.0 * math.sqrt(b.size)))
+    for iters in range(iteration_cap + 1):
+        qx = _apply_q_arr(x, grid)
+        r = b - (qx + dt * _gamma_arrays(m_n, x, grid))
+        norm_r = math.sqrt(np.vdot(r, r))
+        if (
+            norm_r <= SCHEME3_RTOL * norm_b
+            or not math.isfinite(norm_r)
+            or iters == iteration_cap
+        ):
+            break
+        z = _solve_q_stack_arr(r, grid)
+        rho = np.vdot(z, r)
+        if iters == 0:
+            x_prev, x = x, x + z
+        else:
+            omega = 1.0 / (1.0 + (rho / rho_prev) / omega)
+            x_prev, x = x, x_prev + omega * (z + x - x_prev)
+        rho_prev = rho
+
+    rel_res = norm_r / norm_b if norm_b > 0.0 else 0.0
+    if not np.all(np.isfinite(x)) or not rel_res <= SCHEME3_RESIDUAL_CAP:
         raise NonConvergenceError(
             f"linear solve stalled at relative residual {rel_res:.3e} "
             f"(cap {SCHEME3_RESIDUAL_CAP:.1e}, {iters} iterations)",
             residual=rel_res,
         )
-    return _finish(s_n, dt, x.reshape(stack), qu, rel_res)
+    return _finish(s_n, dt, x, qx, rel_res)
 
 
 def step_scheme1_pc(

@@ -36,9 +36,7 @@ from epdiff import (
     step_scheme2,
     step_scheme3,
 )
-from epdiff.core import _gamma_arrays
-from epdiff.grid import _apply_q_arr, _solve_q_stack_arr
-from epdiff.steppers import SCHEME3_RTOL, _gmres
+from epdiff.steppers import SCHEME3_RESIDUAL_CAP
 from conftest import random_pair, random_state
 
 
@@ -72,19 +70,21 @@ class TestConfigValidation:
 
 class TestConstantStateEquilibrium:
     def test_all_steppers_preserve_constants(self):
+        # The zero state gives scheme3 a zero right-hand side.
         g = GridSpec(10, 10, 1.0)
         dt = 0.01
-        s0 = constant_state(g, t=0.0)
-        s1 = constant_state(g, t=dt)
-        results = [
-            step_scheme2(s0, s1, dt),
-            step_scheme3(s0, s1, dt),
-            step_scheme1_pc(s0, s1, dt, pc_config(dt)),
-            step_rk4(s1, dt),
-        ]
-        for res in results:
-            assert norm(res.state.u - s1.u) <= 1e-13 * norm(s1.u)
-            assert res.state.t == pytest.approx(s1.t + dt, abs=1e-15)
+        for c in (1.5, 0.0):
+            s0 = constant_state(g, c=c, t=0.0)
+            s1 = constant_state(g, c=c, t=dt)
+            results = [
+                step_scheme2(s0, s1, dt),
+                step_scheme3(s0, s1, dt),
+                step_scheme1_pc(s0, s1, dt, pc_config(dt)),
+                step_rk4(s1, dt),
+            ]
+            for res in results:
+                assert norm(res.state.u - s1.u) <= 1e-13 * norm(s1.u)
+                assert res.state.t == pytest.approx(s1.t + dt, abs=1e-15)
 
     def test_corrector_stops_after_one_pass_on_constants(self):
         g = GridSpec(8, 8, 1.0)
@@ -195,14 +195,24 @@ class TestScheme3:
             scale = norm(fwd) + norm(b.m) * (norm(a.u) + norm(c.u))
             assert norm(fwd - swapped) <= 1e-12 * scale
 
+    def test_stall_raises_with_residual_and_iteration_count(self, rng):
+        # At dt = 1 on an 8x8 random state the solve cannot reach the cap
+        # within its ceil(10 sqrt(2KJ)) = 114 iterations.
+        g = GridSpec(8, 8, 0.8)
+        dt = 1.0
+        s0 = random_state(g, rng, t=0.0)
+        s1 = random_state(g, rng, t=dt)
+        with pytest.raises(NonConvergenceError) as info:
+            step_scheme3(s0, s1, dt)
+        assert info.value.residual > SCHEME3_RESIDUAL_CAP
+        assert "114 iterations" in str(info.value)
+
     def test_kernels_see_only_float64_input(self, rng, monkeypatch):
         # Each kernel runs on float64 stacks only.  Q and the bracket are
-        # applied once per matvec, and the bracket once more for b; the
-        # matvec of the accepted solution gives both the true residual and
-        # the new momentum.  The preconditioner runs once for ||M b||, once
-        # per restart cycle and once per iteration; a matvec forms the
-        # starting residual, one runs in each iteration and one follows each
-        # cycle.
+        # applied once per matvec, and the bracket once more for b.  Each
+        # iteration takes one Q-solve and one matvec, and one more matvec
+        # forms the starting residual; the matvec of the accepted solution
+        # gives both the true residual and the new momentum.
         import epdiff.steppers as steppers
 
         g = GridSpec(12, 12, 0.8)
@@ -222,116 +232,26 @@ class TestScheme3:
             monkeypatch.setattr(steppers, name, spy)
         step_scheme3(s0, s1, dt)
         assert dtypes == {np.dtype(np.float64)}
-        preconditioner = calls["_solve_q_stack_arr"]
-        assert preconditioner > 0
-        assert calls["_apply_q_arr"] == preconditioner
-        assert calls["_gamma_arrays"] == preconditioner + 1
+        iterations = calls["_solve_q_stack_arr"]
+        assert iterations > 0
+        assert calls["_apply_q_arr"] == iterations + 1
+        assert calls["_gamma_arrays"] == calls["_apply_q_arr"] + 1
 
 
-def scheme3_system(s_nm1, s_n, dt):
-    """The operator, preconditioner, right-hand side and start of
-    ``step_scheme3``'s linear system, on flat vectors."""
-    g = s_n.grid
-    stack = (2,) + g.shape
-    m_n = s_n.m.values
-
-    def matvec(x):
-        u = x.reshape(stack)
-        return (_apply_q_arr(u, g) + dt * _gamma_arrays(m_n, u, g)).ravel()
-
-    def precond(x):
-        return _solve_q_stack_arr(x.reshape(stack), g).ravel()
-
-    b = (s_nm1.m.values - dt * _gamma_arrays(m_n, s_nm1.u.values, g)).ravel()
-    x0 = (2.0 * s_n.u.values - s_nm1.u.values).ravel()
-    return matvec, precond, b, x0
-
-
-def assert_gmres_matches_scipy(matvec, precond, b, x0, restart, maxiter, rtol=SCHEME3_RTOL):
-    """Run ``_gmres`` and scipy's ``gmres`` on one system and require the
-    same bits of x and the same iteration count; returns both."""
-    from scipy.sparse.linalg import LinearOperator, gmres
-
-    n = b.size
-    presids = []
-    x_ref, _ = gmres(
-        LinearOperator((n, n), matvec=matvec, dtype=np.float64),
-        b,
-        x0=x0,
-        rtol=rtol,
-        atol=0.0,
-        restart=restart,
-        maxiter=maxiter,
-        M=LinearOperator((n, n), matvec=precond, dtype=np.float64),
-        callback=presids.append,
-        callback_type="pr_norm",
-    )
-    basis = np.empty((min(restart, n) + 1, n))
-    x, iters, r, aux = _gmres(
-        lambda v: (matvec(v), v.copy()), precond, b, x0, rtol, maxiter, basis
-    )
-    assert np.array_equal(x, x_ref)
-    assert iters == len(presids)
-    # The residual and the auxiliary output come from the product of x.
-    assert np.array_equal(aux, x)
-    assert np.array_equal(r, b - matvec(x))
-    return x, iters
-
-
-class TestGmres:
-    def random_systems(self, rng):
-        # The states of TestScheme3::test_matches_dense_solve_on_small_grids,
-        # drawn in the same order from the same seed; at 16x16 the spectral
-        # radius of dt Q^-1 Gamma_n is 1.09.
-        dt = 0.01
-        for k in (8, 12, 16):
-            g = GridSpec(k, k, 0.8)
-            s0 = random_state(g, rng, t=0.0)
-            s1 = random_state(g, rng, t=dt)
-            yield scheme3_system(s0, s1, dt)
-
-    def test_matches_scipy_on_scheme3_systems(self, rng):
-        for matvec, precond, b, x0 in self.random_systems(rng):
-            _, iters = assert_gmres_matches_scipy(matvec, precond, b, x0, 64, 4)
-            assert 0 < iters <= 64
-
-    def test_matches_scipy_across_restarts(self, rng):
-        for matvec, precond, b, x0 in self.random_systems(rng):
-            _, iters = assert_gmres_matches_scipy(matvec, precond, b, x0, 2, 200)
-            assert iters > 2
-
-    def test_matches_scipy_from_zero_and_on_zero_rhs(self, rng):
-        matvec, precond, b, _ = next(self.random_systems(rng))
-        zero = np.zeros_like(b)
-        assert_gmres_matches_scipy(matvec, precond, b, zero, 64, 4)
-        x, iters = assert_gmres_matches_scipy(matvec, precond, zero, zero, 64, 4)
-        assert iters == 0 and not x.any()
-
-    def test_matches_scipy_at_breakdown(self):
-        # b is an eigenvector of A = 49 I, so the Krylov space is invariant
-        # after one vector.  With rtol = 0 the residual 1 - 49 * fl(1/49)
-        # fails the outer test, and the solve ends on the breakdown exit.
-        n = 6
-        b = np.zeros(n)
-        b[2] = 1.0
-        x, iters = assert_gmres_matches_scipy(
-            lambda v: 49.0 * v, lambda v: v, b, np.zeros(n), 4, 3, rtol=0.0
-        )
-        assert iters == 1 and np.linalg.norm(b - 49.0 * x) > 0.0
-
-    def test_package_import_leaves_scipy_sparse_out(self):
-        # Only these tests use scipy's gmres; the package solves on its own.
+    def test_package_import_leaves_scipy_sparse_and_linalg_out(self):
+        # scheme3 solves on its own, and only the dense cross-validation
+        # solve imports scipy.linalg, when it is called.
         import epdiff
 
         code = (
             "import sys; sys.path.insert(0, sys.argv[1]); import epdiff, epdiff.cli; "
-            "print('scipy.sparse' in sys.modules)"
+            "print([m in sys.modules for m in ('scipy.sparse', 'scipy.linalg')])"
         )
         src = str(Path(epdiff.__file__).resolve().parent.parent)
         out = subprocess.run(
             [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[False, False]"
 
 
 class TestScheme1PredictorCorrector:
