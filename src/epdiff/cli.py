@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import build_config
+from .config import OPTIONS, build_config
 from .errors import ConfigError, NumericalFailureError
 from .harness import run_command
 
@@ -34,56 +34,16 @@ def _build_parser() -> argparse.ArgumentParser:
         ("bench", "per-step wall-clock cost across grids"),
     ):
         p = sub.add_parser(name, help=help_text)
-        _add_common_flags(p, name)
+        _add_common_flags(p)
     return parser
 
 
-def _add_common_flags(p: argparse.ArgumentParser, command: str) -> None:
-    p.add_argument(
-        "--scheme",
-        help=(
-            "comma list of scheme1 | scheme1-fixed=N | scheme2 | scheme3 | rk4 "
-            "(default depends on the command)"
-        ),
-    )
-    p.add_argument(
-        "--grid",
-        help="grid size K or KxJ; commands taking several grids accept a comma list",
-    )
-    p.add_argument("--alpha", help="smoothing length scale (default 1 for sine, sigma for fronts)")
-    p.add_argument("--dt", help="explicit time step (wins over the rules below)")
-    p.add_argument("--dt-dx2", action="store_true", dest="dt_dx2", help="set dt = dx^2")
-    p.add_argument("--dt-dx-ratio", dest="dt_dx_ratio", help="set dt = RATIO*dx")
-    p.add_argument("--t-final", dest="t_final", help="final time of each run")
-    p.add_argument("--profile", help="sine | plate | parallel | star")
-    p.add_argument("--sigma", help="wave-front cross-section width")
-    p.add_argument(
-        "--amplitude",
-        help="wave-front peak speed (default 1; convergence defaults to 0.5 to stay "
-        "well inside the dt = dx stability margin)",
-    )
-    p.add_argument(
-        "--gaussian-cross-section",
-        action="store_true",
-        dest="gaussian_cross_section",
-        help="use exp(-(d/sigma)^2) instead of exp(-d/sigma)",
-    )
-    p.add_argument("--config", help="key = value config file (flags win)")
-    p.add_argument("--out", help="output directory (default ./out)")
-    p.add_argument("--snapshot-every", dest="snapshot_every", help="snapshot cadence in steps (0 = none)")
-    p.add_argument("--seed", help="seed recorded in summary.json for randomized checks")
-    p.add_argument(
-        "--full-scale",
-        action="store_true",
-        dest="full_scale",
-        help="use the full 1025x1025 grid for wave-front runs",
-    )
-    p.add_argument("--reference-grid", dest="reference_grid", help="reference grid for convergence")
-    p.add_argument("--corrector-rtol", dest="corrector_rtol", help="tolerance-mode corrector rtol")
-    p.add_argument("--corrector-max-iter", dest="corrector_max_iter", help="corrector iteration cap")
-    p.add_argument("--bootstrap", help="first-step method for two-level schemes: rk4 | scheme1")
-    p.add_argument("--bench-steps", dest="bench_steps", help="timed steps per bench rep")
-    p.add_argument("--bench-reps", dest="bench_reps", help="bench repetitions (median taken)")
+def _add_common_flags(p: argparse.ArgumentParser) -> None:
+    for key, opt in OPTIONS.items():
+        if key == "out":  # --config keeps its place in --help, just before --out
+            p.add_argument("--config", help="key = value config file (flags win)")
+        action = "store_true" if opt.switch else "store"
+        p.add_argument(opt.flag, action=action, help=opt.help)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,14 +1,18 @@
-"""Experiment configuration: scheme labels, config files, and flag merging.
+"""Experiment configuration: the option table, scheme labels, config files,
+and flag merging.
 
-Config files are plain ``key = value`` text (``#`` starts a comment); keys
-use the same names as the long CLI flags with dashes replaced by
-underscores.  Command-line flags win over file values.
+Each option is declared once, in ``OPTIONS``; the CLI flags, the config-file
+keys and the per-command defaults all come from it.  Config files are plain
+``key = value`` text (``#`` starts a comment) whose keys are the long flags
+with dashes replaced by underscores.  Flags win over file values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .errors import ConfigError
 from .profiles import FrontKind
@@ -22,33 +26,11 @@ from .steppers import (
     Tolerance,
 )
 
-__all__ = ["SchemeSelection", "ExperimentConfig", "parse_scheme_label", "read_config_file"]
+__all__ = [
+    "OPTIONS", "SchemeSelection", "ExperimentConfig", "parse_scheme_label", "read_config_file"
+]
 
 COMMANDS = ("run", "conserve", "convergence", "reversibility", "bench")
-
-_KNOWN_KEYS = {
-    "scheme",
-    "grid",
-    "alpha",
-    "dt",
-    "dt_dx2",
-    "dt_dx_ratio",
-    "t_final",
-    "profile",
-    "sigma",
-    "amplitude",
-    "gaussian_cross_section",
-    "out",
-    "snapshot_every",
-    "seed",
-    "full_scale",
-    "reference_grid",
-    "corrector_rtol",
-    "corrector_max_iter",
-    "bootstrap",
-    "bench_steps",
-    "bench_reps",
-}
 
 
 @dataclass(frozen=True)
@@ -88,20 +70,140 @@ def parse_scheme_label(
     return SchemeSelection(label, kind, Tolerance(rtol, max_iter))
 
 
-def _parse_grid(text: str) -> tuple[int, int]:
+# Parsers of option text.  Each raises ValueError with a phrase that
+# build_config completes into a ConfigError naming the key and the value.
+
+
+def _number(kind: type, low: float, high: float = math.inf) -> Callable[[str], float]:
+    """Parser of a ``kind`` (int or float) strictly between ``low`` and ``high``."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not low < value < high:  # inf and nan fail here too
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(f"must be {noun} in ({low:g}, {high:g})")
+        return value
+
+    return parse
+
+
+def _one_of(*choices: str, convert: Callable = str) -> Callable[[str], object]:
+    """Parser of one of ``choices``, in any case."""
+
+    def parse(text: str):
+        if text.lower() not in choices:
+            raise ValueError("must be one of " + " | ".join(choices))
+        return convert(text.lower())
+
+    return parse
+
+
+_BOOLEANS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+             **dict.fromkeys(("0", "false", "no", "off"), False)}
+_bool = _one_of(*_BOOLEANS, convert=_BOOLEANS.get)
+_positive = _number(float, 0.0)
+
+
+def _listed(item: Callable[[str], object]) -> Callable[[str], tuple]:
+    """Parser of a non-empty comma list of ``item`` values."""
+
+    def parse(text: str) -> tuple:
+        values = tuple(item(part) for part in text.split(",") if part.strip())
+        if not values:
+            raise ValueError("lists nothing")
+        return values
+
+    return parse
+
+
+def _grid(text: str) -> tuple[int, int]:
+    """Parser of one grid, ``K`` or ``KxJ``, at least 3x3."""
     parts = text.lower().split("x")
     try:
-        if len(parts) == 1:
-            k = j = int(parts[0])
-        elif len(parts) == 2:
-            k, j = int(parts[0]), int(parts[1])
-        else:
-            raise ValueError
+        k, j = map(int, parts * 2 if len(parts) == 1 else parts)
     except ValueError:
-        raise ConfigError(f"bad grid spec {text!r}, expected K or KxJ") from None
+        raise ValueError("must be K or KxJ") from None
     if k < 3 or j < 3:
-        raise ConfigError(f"grid {text!r} must be at least 3x3")
+        raise ValueError("must be at least 3x3")
     return k, j
+
+
+def _path(text: str) -> Path:
+    if not text:
+        raise ValueError("is empty")
+    return Path(text)
+
+
+@dataclass(frozen=True)
+class Option:
+    """One experiment option: config key, flag ``--key`` (``_`` as ``-``), parser
+    of its text, help string, and default text (``None``: unset) or a dict of
+    default texts keyed by command.  Defaults are parsed like given values."""
+
+    key: str
+    parse: Callable[[str], object]
+    default: str | None | dict[str, str]
+    help: str
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.key.replace("_", "-")
+
+    @property
+    def switch(self) -> bool:
+        """Whether the flag takes no value (``store_true``)."""
+        return self.parse is _bool
+
+
+def _by_command(default: str, **special: str) -> dict[str, str]:
+    return {command: special.get(command, default) for command in COMMANDS}
+
+
+# In --help order.
+OPTIONS = {opt.key: opt for opt in (
+    Option("scheme", _listed(str.strip), _by_command(
+        "scheme2",
+        conserve="scheme1,scheme1-fixed=5,scheme2,scheme3,rk4",
+        bench="scheme1-fixed=3,scheme2,scheme3",
+    ), "comma list of scheme1 | scheme1-fixed=N | scheme2 | scheme3 | rk4 "
+       "(default depends on the command)"),
+    Option("grid", _listed(_grid), {
+        "run": "160x160", "conserve": "20x20", "convergence": "32,64,128",
+        "reversibility": "200x200", "bench": "100,200,300",
+    }, "grid size K or KxJ; commands taking several grids accept a comma list"),
+    Option("alpha", _positive, None,
+           "smoothing length scale (default 1 for sine, sigma for fronts)"),
+    Option("dt", _positive, None, "explicit time step (wins over the rules below)"),
+    Option("dt_dx2", _bool, "false", "set dt = dx^2"),
+    Option("dt_dx_ratio", _positive, None, "set dt = RATIO*dx"),
+    Option("t_final", _positive, _by_command("0.4", conserve="50", convergence="0.375"),
+           "final time of each run"),
+    Option("profile", _one_of("sine", *(kind.value for kind in FrontKind)),
+           _by_command("plate", conserve="sine"), "sine | plate | parallel | star"),
+    Option("sigma", _positive, None, "wave-front cross-section width"),
+    Option("amplitude", _positive, _by_command("1", convergence="0.5"),
+           "wave-front peak speed (default 1; convergence defaults to 0.5 to stay "
+           "well inside the dt = dx stability margin)"),
+    Option("gaussian_cross_section", _bool, "false",
+           "use exp(-(d/sigma)^2) instead of exp(-d/sigma)"),
+    Option("out", _path, "out", "output directory (default ./out)"),
+    Option("snapshot_every", _number(int, -1), "0", "snapshot cadence in steps (0 = none)"),
+    Option("seed", _number(int, -math.inf), "0",
+           "seed recorded in summary.json for randomized checks"),
+    Option("full_scale", _bool, "false", "use the full 1025x1025 grid for wave-front runs"),
+    Option("reference_grid", _grid, "256", "reference grid for convergence"),
+    Option("corrector_rtol", _number(float, 0.0, 1.0), str(DEFAULT_CORRECTOR.rtol),
+           "tolerance-mode corrector rtol"),
+    Option("corrector_max_iter", _number(int, 0), str(DEFAULT_CORRECTOR.max_iter),
+           "corrector iteration cap"),
+    Option("bootstrap", _one_of(*(kind.value for kind in BootstrapKind), convert=BootstrapKind),
+           "rk4", "first-step method for two-level schemes: rk4 | scheme1"),
+    Option("bench_steps", _number(int, 0), "20", "timed steps per bench rep"),
+    Option("bench_reps", _number(int, 0), "3", "bench repetitions (median taken)"),
+)}
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -119,7 +221,7 @@ def read_config_file(path) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, value = (part.strip() for part in stripped.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _KNOWN_KEYS:
+        if key not in OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = value
     return values
@@ -131,37 +233,39 @@ class ExperimentConfig:
 
     command: str
     schemes: tuple[SchemeSelection, ...]
-    K: int = 20
-    J: int = 20
-    alpha: float = 1.0
-    dt: float | None = None  # explicit dt wins over the rules below
-    dt_dx2: bool = False
-    dt_dx_ratio: float | None = None
-    t_final: float = 50.0
-    profile: str = "sine"
-    sigma: float | None = None
-    amplitude: float = 1.0
-    gaussian_cross_section: bool = False
-    out_dir: Path = Path("out")
-    snapshot_every: int = 0
-    seed: int = 0
-    full_scale: bool = False
-    grids: tuple[tuple[int, int], ...] = ()
-    reference_grid: tuple[int, int] = (256, 256)
-    bootstrap: BootstrapKind = BootstrapKind.RK4
-    bench_steps: int = 20
-    bench_reps: int = 3
+    alpha: float
+    dt: float | None  # explicit dt wins over the rules below
+    dt_dx2: bool
+    dt_dx_ratio: float | None
+    t_final: float
+    profile: str
+    sigma: float | None
+    amplitude: float
+    gaussian_cross_section: bool
+    out_dir: Path
+    snapshot_every: int
+    seed: int
+    full_scale: bool
+    grids: tuple[tuple[int, int], ...]
+    reference_grid: tuple[int, int]
+    bootstrap: BootstrapKind
+    bench_steps: int
+    bench_reps: int
+
+    @property
+    def K(self) -> int:
+        return self.grids[0][0]
+
+    @property
+    def J(self) -> int:
+        return self.grids[0][1]
 
     def resolve_dt(self, dx: float) -> float:
         if self.dt is not None:
-            if self.dt <= 0:
-                raise ConfigError("dt must be positive")
             return self.dt
         if self.dt_dx2:
             return dx * dx
         if self.dt_dx_ratio is not None:
-            if self.dt_dx_ratio <= 0:
-                raise ConfigError("dt/dx ratio must be positive")
             return self.dt_dx_ratio * dx
         # Command defaults: the conservation benchmark uses dt = dx^2, the
         # wave-front commands dt = dx/4.
@@ -171,149 +275,37 @@ class ExperimentConfig:
 
 
 def build_config(command: str, flags: dict[str, object]) -> ExperimentConfig:
-    """Merge config-file values and CLI flags into an ExperimentConfig."""
+    """Resolve every option from the flags, else the config file named by
+    ``flags["config"]``, else the command's default."""
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
-
-    merged: dict[str, object] = {}
-    config_path = flags.get("config")
-    if config_path:
-        merged.update(read_config_file(config_path))
-    for key, value in flags.items():
-        if key == "config" or value is None or value is False:
-            continue
-        merged[key] = value
-
-    def get(key, default=None):
-        return merged.get(key, default)
-
-    def as_bool(key) -> bool:
-        v = get(key, False)
-        if isinstance(v, bool):
-            return v
-        return str(v).strip().lower() in ("1", "true", "yes", "on")
-
-    def as_int(key, default):
-        v = get(key)
-        if v is None:
-            return default
-        try:
-            return int(str(v))
-        except ValueError:
-            raise ConfigError(f"{key} must be an integer, got {v!r}") from None
-
-    def as_float(key, default):
-        v = get(key)
-        if v is None:
-            return default
-        try:
-            return float(str(v))
-        except ValueError:
-            raise ConfigError(f"{key} must be a number, got {v!r}") from None
-
-    scheme_text = str(get("scheme") or _default_schemes(command))
-    rtol = as_float("corrector_rtol", DEFAULT_CORRECTOR.rtol)
-    if not 0.0 < rtol < 1.0:
-        raise ConfigError("corrector rtol must lie in (0, 1)")
-    max_iter = as_int("corrector_max_iter", DEFAULT_CORRECTOR.max_iter)
-    if max_iter < 1:
-        raise ConfigError("corrector max_iter must be positive")
-    schemes = tuple(
-        parse_scheme_label(label, rtol, max_iter)
-        for label in scheme_text.split(",")
-        if label.strip()
+    given: dict[str, object] = {}
+    if flags.get("config"):
+        given.update(read_config_file(flags["config"]))
+    given.update(
+        (key, value)
+        for key, value in flags.items()
+        if key != "config" and value is not None and value is not False
     )
-    if not schemes:
-        raise ConfigError("no scheme selected")
-
-    grid_text = str(get("grid") or _default_grid(command))
-    grid_list = tuple(_parse_grid(g) for g in grid_text.split(",") if g.strip())
-    if not grid_list:
-        raise ConfigError("no grid given")
-
-    profile = str(get("profile") or _default_profile(command)).lower()
-    if profile != "sine":
+    values: dict[str, object] = {}
+    for key, opt in OPTIONS.items():
+        default = opt.default[command] if isinstance(opt.default, dict) else opt.default
+        text = given.get(key, default)
         try:
-            FrontKind(profile)
-        except ValueError:
-            raise ConfigError(f"unknown profile {profile!r}") from None
+            values[key] = None if text is None else opt.parse(str(text))
+        except ValueError as exc:
+            raise ConfigError(f"{key} {exc}, got {text!r}") from None
 
-    bootstrap_text = str(get("bootstrap") or "rk4").lower()
-    try:
-        bootstrap = BootstrapKind(bootstrap_text)
-    except ValueError:
-        raise ConfigError(f"unknown bootstrap {bootstrap_text!r}") from None
-
-    alpha = as_float("alpha", _default_alpha(profile))
-    if alpha <= 0:
-        raise ConfigError("alpha must be positive")
-    t_final = as_float("t_final", _default_t_final(command))
-    if t_final <= 0:
-        raise ConfigError("t-final must be positive")
-    snapshot_every = as_int("snapshot_every", 0)
-    if snapshot_every < 0:
-        raise ConfigError("snapshot cadence must be >= 0")
-    bench_steps = as_int("bench_steps", 20)
-    bench_reps = as_int("bench_reps", 3)
-    for key, value in (("bench_steps", bench_steps), ("bench_reps", bench_reps)):
-        if value < 1:
-            raise ConfigError(f"{key} must be at least 1, got {value}")
-
-    cfg = ExperimentConfig(
+    rtol, max_iter = values.pop("corrector_rtol"), values.pop("corrector_max_iter")
+    if values["alpha"] is None:
+        values["alpha"] = _default_alpha(values["profile"])
+    return ExperimentConfig(
         command=command,
-        schemes=schemes,
-        K=grid_list[0][0],
-        J=grid_list[0][1],
-        alpha=alpha,
-        dt=as_float("dt", None),
-        dt_dx2=as_bool("dt_dx2"),
-        dt_dx_ratio=as_float("dt_dx_ratio", None),
-        t_final=t_final,
-        profile=profile,
-        sigma=as_float("sigma", None),
-        amplitude=as_float("amplitude", 1.0 if command != "convergence" else 0.5),
-        gaussian_cross_section=as_bool("gaussian_cross_section"),
-        out_dir=Path(str(get("out") or "out")),
-        snapshot_every=snapshot_every,
-        seed=as_int("seed", 0),
-        full_scale=as_bool("full_scale"),
-        grids=grid_list,
-        reference_grid=_parse_grid(str(get("reference_grid") or "256")),
-        bootstrap=bootstrap,
-        bench_steps=bench_steps,
-        bench_reps=bench_reps,
+        schemes=tuple(parse_scheme_label(s, rtol, max_iter) for s in values.pop("scheme")),
+        grids=values.pop("grid"),
+        out_dir=values.pop("out"),
+        **values,
     )
-    if cfg.amplitude <= 0:
-        raise ConfigError("amplitude must be positive")
-    if cfg.sigma is not None and cfg.sigma <= 0:
-        raise ConfigError("sigma must be positive")
-    return cfg
-
-
-def _default_schemes(command: str) -> str:
-    if command == "conserve":
-        return "scheme1,scheme1-fixed=5,scheme2,scheme3,rk4"
-    if command == "bench":
-        return "scheme1-fixed=3,scheme2,scheme3"
-    return "scheme2"
-
-
-def _default_grid(command: str) -> str:
-    if command == "conserve":
-        return "20x20"
-    if command == "convergence":
-        return "32,64,128"
-    if command == "bench":
-        return "100,200,300"
-    if command == "reversibility":
-        return "200x200"
-    return "160x160"
-
-
-def _default_profile(command: str) -> str:
-    if command == "conserve":
-        return "sine"
-    return "plate"
 
 
 def _default_alpha(profile: str) -> float:
@@ -321,11 +313,3 @@ def _default_alpha(profile: str) -> float:
         return 1.0
     # alpha = sigma for the default wave-front widths.
     return 0.05 if profile == "star" else 0.1
-
-
-def _default_t_final(command: str) -> float:
-    if command == "conserve":
-        return 50.0
-    if command == "convergence":
-        return 0.375
-    return 0.4

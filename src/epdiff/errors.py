@@ -17,11 +17,17 @@ class NumericalFailureError(EpdiffError, RuntimeError):
     residual : float or None
         The residual (relative, in the grid norm) achieved before giving up,
         when one is available.
+    step : int or None
+        The index of the time step being computed, when the failure happened
+        inside :func:`epdiff.steppers.integrate`.
     """
 
-    def __init__(self, message: str, residual: float | None = None):
+    def __init__(
+        self, message: str, residual: float | None = None, step: int | None = None
+    ):
         super().__init__(message)
         self.residual = residual
+        self.step = step
 
 
 class NonConvergenceError(NumericalFailureError):

@@ -13,6 +13,7 @@ import json
 import math
 import time
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -106,11 +107,12 @@ def _scheme_summary(record: RunRecord) -> dict:
     return out
 
 
-def _failure_summary(exc: Exception) -> dict:
+def _failure_summary(exc: NumericalFailureError) -> dict:
     out = {"status": "failed", "error": str(exc)}
-    residual = getattr(exc, "residual", None)
-    if residual is not None:
-        out["residual"] = residual
+    if exc.step is not None:
+        out["failed_step"] = exc.step
+    if exc.residual is not None:
+        out["residual"] = exc.residual
     return out
 
 
@@ -120,30 +122,19 @@ def _write_summary(cfg: ExperimentConfig, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _integrate_schemes(cfg: ExperimentConfig, grid: GridSpec) -> tuple[dict, bool]:
-    """Run every selected scheme on one grid; returns (summaries, any_failed)."""
-    dt = cfg.resolve_dt(grid.dx)
+def _each_scheme(
+    cfg: ExperimentConfig, run: Callable[[SchemeSelection], dict]
+) -> tuple[dict, bool]:
+    """Summarise ``run(sel)`` for every selected scheme; a numerical failure
+    becomes that scheme's failure summary.  Returns (summaries, any_failed)."""
     summaries: dict[str, dict] = {}
     failed = False
     for sel in cfg.schemes:
-        scheme_dir = cfg.out_dir / sel.label
-        scheme_dir.mkdir(parents=True, exist_ok=True)
-        initial = _initial_state(cfg, grid)
         try:
-            record = integrate(
-                initial,
-                sel.build(dt, cfg.bootstrap),
-                initial.t + cfg.t_final,
-                snapshot_every=cfg.snapshot_every,
-            )
+            summaries[sel.label] = run(sel)
         except NumericalFailureError as exc:
             summaries[sel.label] = _failure_summary(exc)
             failed = True
-            continue
-        write_invariants_csv(scheme_dir / "invariants.csv", record)
-        for index, (t, u) in enumerate(record.snapshots):
-            write_snapshot(u, t, scheme_dir / f"snap_{index * cfg.snapshot_every:08d}.bin")
-        summaries[sel.label] = _scheme_summary(record)
     return summaries, failed
 
 
@@ -151,13 +142,30 @@ def cmd_conserve(cfg: ExperimentConfig) -> int:
     """Invariant tracking with optional snapshots, for ``conserve`` and ``run``."""
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     grid = _grid(cfg)
-    summaries, failed = _integrate_schemes(cfg, grid)
+    dt = cfg.resolve_dt(grid.dx)
+
+    def run(sel: SchemeSelection) -> dict:
+        scheme_dir = cfg.out_dir / sel.label
+        scheme_dir.mkdir(parents=True, exist_ok=True)
+        initial = _initial_state(cfg, grid)
+        record = integrate(
+            initial,
+            sel.build(dt, cfg.bootstrap),
+            initial.t + cfg.t_final,
+            snapshot_every=cfg.snapshot_every,
+        )
+        write_invariants_csv(scheme_dir / "invariants.csv", record)
+        for index, (t, u) in enumerate(record.snapshots):
+            write_snapshot(u, t, scheme_dir / f"snap_{index * cfg.snapshot_every:08d}.bin")
+        return _scheme_summary(record)
+
+    summaries, failed = _each_scheme(cfg, run)
     _write_summary(
         cfg,
         {
             "grid": f"{grid.K}x{grid.J}",
             "alpha": grid.alpha,
-            "dt": cfg.resolve_dt(grid.dx),
+            "dt": dt,
             "t_final": cfg.t_final,
             "profile": cfg.profile,
             "schemes": summaries,
@@ -183,7 +191,9 @@ def cmd_convergence(cfg: ExperimentConfig) -> int:
             )
         if reference % n != 0:
             raise ConfigError(f"grid {n} does not nest into reference {reference}")
-    sel = cfg.schemes[0]
+    if len(cfg.schemes) != 1:
+        raise ConfigError(f"convergence takes one scheme, got {len(cfg.schemes)}")
+    (sel,) = cfg.schemes
     template = sel.build(1.0, cfg.bootstrap)
 
     def profile(grid: GridSpec) -> State:
@@ -223,30 +233,20 @@ def cmd_reversibility(cfg: ExperimentConfig) -> int:
     grid = _grid(cfg)
     dt = cfg.resolve_dt(grid.dx)
     sigma = _sigma_of(cfg)
+    ratio = grid.alpha / sigma if sigma else math.nan
     rows = ["scheme,profile,alpha_over_sigma,dt_over_dx,rel_error_percent"]
-    summaries: dict[str, dict] = {}
-    failed = False
-    for sel in cfg.schemes:
+
+    def run(sel: SchemeSelection) -> dict:
         initial = _initial_state(cfg, grid)
-        try:
-            err = reversibility_test(initial, sel.build(dt, cfg.bootstrap), cfg.t_final)
-        except NumericalFailureError as exc:
-            summaries[sel.label] = _failure_summary(exc)
-            failed = True
-            continue
-        ratio = grid.alpha / sigma if sigma else math.nan
+        err = reversibility_test(initial, sel.build(dt, cfg.bootstrap), cfg.t_final)
         rows.append(
             ",".join(
-                [
-                    sel.label,
-                    cfg.profile,
-                    _fmt(ratio),
-                    _fmt(dt / grid.dx),
-                    _fmt(err * 100.0),
-                ]
+                [sel.label, cfg.profile, _fmt(ratio), _fmt(dt / grid.dx), _fmt(err * 100.0)]
             )
         )
-        summaries[sel.label] = {"status": "ok", "rel_error_percent": err * 100.0}
+        return {"status": "ok", "rel_error_percent": err * 100.0}
+
+    summaries, failed = _each_scheme(cfg, run)
     (cfg.out_dir / "reversibility.csv").write_text("\n".join(rows) + "\n")
     _write_summary(
         cfg,
@@ -281,33 +281,26 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     warmup = 5
     rows = ["grid_points,scheme,seconds_per_step"]
-    summaries: dict[str, dict] = {}
-    failed = False
-    for sel in cfg.schemes:
+
+    def run(sel: SchemeSelection) -> dict:
         costs: list[tuple[int, float]] = []
         entry: dict = {"status": "ok", "seconds_per_step": {}}
         for k, j in cfg.grids:
             grid = GridSpec(k, j, cfg.alpha)
-            try:
-                reps = [
-                    _timed_steps(cfg, sel, grid, warmup) for _ in range(cfg.bench_reps)
-                ]
-            except NumericalFailureError as exc:
-                entry = _failure_summary(exc)
-                failed = True
-                break
+            reps = [_timed_steps(cfg, sel, grid, warmup) for _ in range(cfg.bench_reps)]
             cost = float(np.median(reps))
             costs.append((k * j, cost))
             rows.append(f"{k * j},{sel.label},{_fmt(cost)}")
             entry["seconds_per_step"][f"{k}x{j}"] = cost
-        if entry.get("status") == "ok":
-            if len(costs) >= 2:
-                entry["cost_exponent_vs_points"] = fit_loglog_slope(costs)
-                entry["subquadratic"] = entry["cost_exponent_vs_points"] <= 1.3
-            else:
-                entry["cost_exponent_vs_points"] = None
-                entry["exponent_fit_skipped"] = True
-        summaries[sel.label] = entry
+        if len(costs) >= 2:
+            entry["cost_exponent_vs_points"] = fit_loglog_slope(costs)
+            entry["subquadratic"] = entry["cost_exponent_vs_points"] <= 1.3
+        else:
+            entry["cost_exponent_vs_points"] = None
+            entry["exponent_fit_skipped"] = True
+        return entry
+
+    summaries, failed = _each_scheme(cfg, run)
     (cfg.out_dir / "bench.csv").write_text("\n".join(rows) + "\n")
     _write_summary(
         cfg,

@@ -366,6 +366,8 @@ def _resolve_step_count(t0: float, t_final: float, dt: float) -> int:
     if not t_final > t0:
         raise ValueError("t_final must exceed the initial time")
     ratio = (t_final - t0) / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"(t_final - t0)/dt = {ratio} is not a finite step count")
     n = round(ratio)
     if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, abs(ratio)):
         raise ValueError(
@@ -390,7 +392,7 @@ def integrate(
     reversibility protocol).  ``observer`` is invoked with every
     :class:`StepResult`; ``snapshot_every`` > 0 stores the velocity every
     that many steps (step 0 included).  Stepper failures abort with the step
-    index attached.
+    index in the message and in ``exc.step``.
     """
     kind = cfg.kind
     dt = cfg.dt
@@ -470,6 +472,7 @@ def integrate(
         raise type(exc)(
             f"{exc} (while computing step {step})",
             residual=exc.residual,
+            step=step,
         ) from exc
 
     record.states_tail = (prev, cur) if prev is not None else (cur,)

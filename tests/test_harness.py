@@ -1,13 +1,20 @@
 """CLI commands, CSV schemas, snapshot format, and config handling."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from epdiff import ConfigError, GridSpec
-from epdiff.cli import main
-from epdiff.config import COMMANDS, build_config, parse_scheme_label, read_config_file
+from epdiff.cli import _build_parser, main
+from epdiff.config import (
+    COMMANDS,
+    OPTIONS,
+    build_config,
+    parse_scheme_label,
+    read_config_file,
+)
 from epdiff.harness import _grid
 from epdiff.snapshots import read_snapshot, write_snapshot
 from epdiff.steppers import _resolve_step_count
@@ -89,6 +96,17 @@ class TestConfigFile:
             for dt in dts:
                 assert _resolve_step_count(0.0, cfg.t_final, dt) >= 1
 
+    @pytest.mark.parametrize("value", ["ture", "", "2", "y"])
+    def test_booleans_are_strict(self, tmp_path, value):
+        # A misspelt switch used to resolve silently to False.
+        cfg_file = tmp_path / "switch.cfg"
+        cfg_file.write_text(f"full_scale = {value}\n")
+        with pytest.raises(ConfigError, match="full_scale"):
+            build_config("run", {"config": cfg_file})
+        for text, expected in (("YES", True), ("On", True), ("1", True), ("off", False)):
+            cfg_file.write_text(f"full_scale = {text}\n")
+            assert build_config("run", {"config": cfg_file}).full_scale is expected
+
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigError):
             build_config("conserve", {"grid": "16x16", "alpha": "-1"})
@@ -96,6 +114,106 @@ class TestConfigFile:
             build_config("conserve", {"grid": "banana"})
         with pytest.raises(ConfigError):
             build_config("conserve", {"profile": "blob"})
+        for key in ("t_final", "dt", "alpha", "sigma", "corrector_rtol"):
+            for text in ("inf", "-inf", "nan"):
+                with pytest.raises(ConfigError, match=key):
+                    build_config("conserve", {key: text})
+
+
+# Resolved defaults per command, as the front end gave them before its
+# options moved into one table: labels, grids, alpha, t_final, profile,
+# amplitude and resolve_dt(0.5).
+COMMAND_DEFAULTS = {
+    "run": (("scheme2",), ((160, 160),), 0.1, 0.4, "plate", 1.0, 0.125),
+    "conserve": (
+        ("scheme1", "scheme1-fixed=5", "scheme2", "scheme3", "rk4"),
+        ((20, 20),), 1.0, 50.0, "sine", 1.0, 0.25,
+    ),
+    "convergence": (
+        ("scheme2",), ((32, 32), (64, 64), (128, 128)), 0.1, 0.375, "plate", 0.5, 0.125,
+    ),
+    "reversibility": (("scheme2",), ((200, 200),), 0.1, 0.4, "plate", 1.0, 0.125),
+    "bench": (
+        ("scheme1-fixed=3", "scheme2", "scheme3"),
+        ((100, 100), (200, 200), (300, 300)), 0.1, 0.4, "plate", 1.0, 0.125,
+    ),
+}
+
+# One non-default value per option, in config-file form.
+OPTION_SAMPLES = {
+    "scheme": "scheme1,rk4",
+    "grid": "16x12",
+    "alpha": "0.5",
+    "dt": "0.01",
+    "dt_dx2": "yes",
+    "dt_dx_ratio": "0.5",
+    "t_final": "0.5",
+    "profile": "star",
+    "sigma": "0.2",
+    "amplitude": "0.7",
+    "gaussian_cross_section": "on",
+    "out": "elsewhere",
+    "snapshot_every": "2",
+    "seed": "7",
+    "full_scale": "true",
+    "reference_grid": "64",
+    "corrector_rtol": "1e-10",
+    "corrector_max_iter": "9",
+    "bootstrap": "scheme1",
+    "bench_steps": "4",
+    "bench_reps": "2",
+}
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_defaults(self, command):
+        from epdiff import FixedCount, Tolerance
+        from epdiff.steppers import BootstrapKind
+
+        labels, grids, alpha, t_final, profile, amplitude, dt = COMMAND_DEFAULTS[command]
+        cfg = build_config(command, {})
+        assert tuple(sel.label for sel in cfg.schemes) == labels
+        for sel in cfg.schemes:
+            fixed = sel.label.startswith("scheme1-fixed=")
+            expected = FixedCount(int(sel.label[-1])) if fixed else Tolerance(1e-14, 200)
+            assert sel.corrector == expected
+        assert cfg.grids == grids and (cfg.K, cfg.J) == grids[0]
+        assert (cfg.alpha, cfg.t_final, cfg.profile, cfg.amplitude) == (
+            alpha, t_final, profile, amplitude,
+        )
+        assert cfg.resolve_dt(0.5) == dt
+        assert cfg.reference_grid == (256, 256)
+        assert (cfg.bench_steps, cfg.bench_reps) == (20, 3)
+        assert (cfg.snapshot_every, cfg.seed, cfg.out_dir) == (0, 0, Path("out"))
+        assert cfg.bootstrap is BootstrapKind.RK4
+        assert (cfg.dt, cfg.dt_dx_ratio, cfg.sigma) == (None, None, None)
+        assert not (cfg.dt_dx2 or cfg.gaussian_cross_section or cfg.full_scale)
+
+    @pytest.mark.parametrize("key", OPTIONS)
+    def test_file_and_flag_forms_agree(self, tmp_path, key):
+        assert set(OPTION_SAMPLES) == set(OPTIONS)
+        text = OPTION_SAMPLES[key]
+        cfg_file = tmp_path / "one.cfg"
+        cfg_file.write_text(f"{key} = {text}\n")
+        opt = OPTIONS[key]
+        argv = [opt.flag] if opt.switch else [opt.flag, text]
+        for command in COMMANDS:
+            args = vars(_build_parser().parse_args([command, *argv]))
+            del args["command"]
+            from_flag = build_config(command, args)
+            assert build_config(command, {"config": cfg_file}) == from_flag
+            assert from_flag != build_config(command, {})
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_lists_every_option(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = capsys.readouterr().out
+        for opt in OPTIONS.values():
+            assert opt.flag in text
+            assert " ".join(opt.help.split()[:3]) in " ".join(text.split())
+        assert "--config" in text
 
 
 class TestSnapshots:
@@ -253,6 +371,15 @@ class TestConvergenceCommand:
         )
         assert code == 2
 
+    def test_several_schemes_rejected(self, tmp_path):
+        # Only the first label used to run, and the command exited 0.
+        code = run_cli(
+            "convergence", "--scheme", "scheme2,scheme3", "--grid", "8,16",
+            "--reference-grid", "32", "--t-final", "0.5", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert not (tmp_path / "convergence.csv").exists()
+
     def test_non_nested_grids_rejected(self, tmp_path):
         code = run_cli(
             "convergence", "--grid", "24", "--reference-grid", "64",
@@ -295,6 +422,16 @@ class TestExitCodes:
             == 2
         )  # 0.2/(dx/4) is not an integer step count
 
+    @pytest.mark.parametrize(
+        "flags", [("--t-final", "inf"), ("--t-final", "nan"), ("--dt", "1e-320")]
+    )
+    def test_non_finite_numbers_exit_two(self, tmp_path, flags):
+        # These used to die with an OverflowError traceback in the step count.
+        code = run_cli(
+            "conserve", "--grid", "8", "--scheme", "scheme2", *flags, "--out", str(tmp_path)
+        )
+        assert code == 2
+
     def test_numerical_failure_exits_one(self, tmp_path):
         # dt far beyond the stability limit of the sine benchmark.
         with np.errstate(all="ignore"):
@@ -304,4 +441,6 @@ class TestExitCodes:
             )
         assert code == 1
         summary = json.loads((tmp_path / "summary.json").read_text())
-        assert summary["schemes"]["scheme2"]["status"] == "failed"
+        entry = summary["schemes"]["scheme2"]
+        assert entry["status"] == "failed"
+        assert isinstance(entry["failed_step"], int) and entry["failed_step"] >= 1

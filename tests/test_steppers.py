@@ -504,6 +504,7 @@ class TestIntegrate:
         with np.errstate(all="ignore"), pytest.raises(Exception) as exc_info:
             integrate(s0, cfg, 40.0)
         assert "step" in str(exc_info.value)
+        assert exc_info.value.step >= 1
         # A state this large overflows on the first step, which for the
         # two-level schemes is the bootstrap: both report step 1.
         huge = State.from_velocity(
@@ -516,6 +517,16 @@ class TestIntegrate:
             with np.errstate(all="ignore"), pytest.raises(NumericalFailureError) as exc_info:
                 integrate(huge, SchemeConfig(kind, 0.5), 5.0)
             assert str(exc_info.value).endswith("(while computing step 1)")
+            assert exc_info.value.step == 1
+
+    def test_non_finite_step_count_rejected(self):
+        g = GridSpec(8, 8, 1.0)
+        s0 = State.from_velocity(
+            FieldPair(ScalarField(g, np.sin(np.pi * g.meshgrid()[0])), ScalarField.zeros(g))
+        )
+        for t_final, dt in ((math.inf, 0.1), (1.0, 1e-320)):
+            with pytest.raises(ValueError, match="finite"):
+                integrate(s0, SchemeConfig(SchemeKind.SCHEME2, dt), t_final)
 
     def test_dispatch_looks_steppers_up_at_call_time(self, monkeypatch):
         import epdiff.steppers as steppers
