@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
 
 from .errors import GridMismatchError, NumericalFailureError
 
@@ -250,22 +249,30 @@ def hadamard(v: ScalarField, w: ScalarField) -> ScalarField:
 _SCRATCH = threading.local()
 
 
-def _scratch(name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """A float64 work array of ``shape``, private to the calling thread.
+def _scratch(
+    name: str,
+    shape: tuple[int, ...],
+    dtype=np.float64,
+    grid_shape: tuple[int, int] | None = None,
+) -> np.ndarray:
+    """A work array of ``shape`` and ``dtype``, private to the calling thread.
 
     Each kernel uses names of its own, so a kernel it calls never writes
     its buffers, and no kernel returns a scratch array.  A thread keeps
-    buffers for one grid shape; a request on another grid drops them, so
-    resident memory stays bounded.
+    buffers for one field grid (J, K); a request on another grid drops
+    them, so resident memory stays bounded.  The grid is ``shape[-2:]``
+    unless ``grid_shape`` names it: a spectral buffer of shape
+    (..., J, K//2 + 1) passes the (J, K) of the fields it transforms.
     """
     try:
         return _SCRATCH.buffers[name, shape]
     except (AttributeError, KeyError):
         pass
-    if getattr(_SCRATCH, "grid_shape", None) != shape[-2:]:
-        _SCRATCH.grid_shape = shape[-2:]
+    grid_shape = shape[-2:] if grid_shape is None else grid_shape
+    if getattr(_SCRATCH, "grid_shape", None) != grid_shape:
+        _SCRATCH.grid_shape = grid_shape
         _SCRATCH.buffers = {}
-    buf = _SCRATCH.buffers[name, shape] = np.empty(shape)
+    buf = _SCRATCH.buffers[name, shape] = np.empty(shape, dtype)
     return buf
 
 
@@ -367,13 +374,17 @@ def _helmholtz_symbol(K: int, J: int, alpha: float) -> np.ndarray:
     """Eigenvalues of Q in the rfft2 basis, shape (J, K//2 + 1).
 
     lambda_{k,j} = 1 + (4 a^2/dx^2) sin^2(pi k/K) + (4 a^2/dy^2) sin^2(pi j/J),
-    all >= 1, so the pointwise divide is unconditionally safe.
+    all >= 1, so the pointwise divide is unconditionally safe.  They are
+    stored as complex128 with zero imaginary part: dividing a spectrum by
+    them in place then needs no casting buffer, and since the cast is exact
+    the quotient has the bits of a divide by the real symbol.
     """
     dx = 2.0 / K
     dy = 2.0 / J
     sx = np.sin(np.pi * np.arange(K // 2 + 1) / K) ** 2
     sy = np.sin(np.pi * np.arange(J) / J) ** 2
     lam = 1.0 + (4.0 * alpha**2 / dx**2) * sx[None, :] + (4.0 * alpha**2 / dy**2) * sy[:, None]
+    lam = lam.astype(np.complex128)
     lam.setflags(write=False)
     return lam
 
@@ -385,17 +396,48 @@ def _solve_q_stack_arr(a: np.ndarray, grid: GridSpec) -> np.ndarray:
     input constant in y stays bitwise constant in y; the mixed-radix stages
     of a full 2D FFT would otherwise leak ~1e-16 of y-variation per solve,
     which accumulates over long runs.
+
+    The transforms are numpy's pocketfft in the order of a real 2D
+    transform pair: rfft along x then fft along y, and back ifft along y
+    then irfft along x.  Both inverse passes run unscaled
+    (``norm="forward"``), and the result is scaled by 1/(J K) once at the
+    end, which is where pocketfft's own 2D inverse (``scipy.fft.irfft2``)
+    applies its single scale factor; scaling each pass by 1/J and 1/K would
+    round differently.  So the bits are those of a solve through
+    ``scipy.fft``'s ``rfft2`` and ``irfft2``.
+
+    Every intermediate lives in per-thread scratch and the returned array
+    is the only one allocated.  Broadcasting operands go through plain
+    assignment or a loop over layers, since a broadcasting ufunc call
+    allocates an iterator buffer of up to 64 KiB.
     """
-    lam = _helmholtz_symbol(grid.K, grid.J, grid.alpha)
-    rows = a.mean(axis=-2)
-    rest = np.subtract(a, rows[..., None, :], out=_scratch("qsolve_rest", a.shape))
-    spec_rows = scipy.fft.rfft(rows, axis=-1)
-    spec_rows /= lam[0]
-    u_rows = scipy.fft.irfft(spec_rows, n=grid.K, axis=-1)
-    spec = scipy.fft.rfft2(rest, axes=(-2, -1))
-    spec /= lam
-    u = scipy.fft.irfft2(spec, s=grid.shape, axes=(-2, -1))
-    u += u_rows[..., None, :]
+    J, K = grid.shape
+    half = K // 2 + 1
+    lead = a.shape[:-2]
+    lam = _helmholtz_symbol(K, J, grid.alpha)
+
+    def scratch(name, shape, dtype=np.float64):
+        return _scratch(name, shape, dtype, grid.shape)
+
+    rows = np.mean(a, axis=-2, out=scratch("qsolve_rows", lead + (K,)))
+    tile = scratch("qsolve_tile", a.shape)
+    tile[...] = rows[..., None, :]
+    rest = np.subtract(a, tile, out=tile)
+    spec_rows = scratch("qsolve_spec_rows", lead + (half,), np.complex128)
+    np.fft.rfft(rows, axis=-1, out=spec_rows)
+    for row in spec_rows.reshape(-1, half):
+        row /= lam[0]
+    u_rows = np.fft.irfft(spec_rows, n=K, axis=-1, out=rows)
+    spec = scratch("qsolve_spec", lead + (J, half), np.complex128)
+    np.fft.rfft(rest, axis=-1, out=spec)
+    np.fft.fft(spec, axis=-2, out=spec)
+    for layer in spec.reshape(-1, J, half):
+        layer /= lam
+    np.fft.ifft(spec, axis=-2, norm="forward", out=spec)
+    u = np.fft.irfft(spec, n=K, axis=-1, norm="forward", out=np.empty(a.shape))
+    u *= 1.0 / (J * K)
+    tile[...] = u_rows[..., None, :]
+    u += tile
     return u
 
 

@@ -1,5 +1,7 @@
 """Grid geometry, inner products, stencils, and the screened-Laplacian solve."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -368,10 +370,11 @@ class TestHelmholtz:
     def test_preserves_y_invariance_exactly(self, rng):
         # Fields constant in y must stay bitwise constant in y through the
         # solve; this keeps the flat-in-y benchmark exactly flat over long runs.
-        g = GridSpec(20, 20, 1.0)
-        row = rng.standard_normal(g.K)
-        u = solve_q(ScalarField(g, np.tile(row, (g.J, 1)))).values
-        assert all(np.array_equal(u[0], u[j]) for j in range(g.J))
+        # An odd K needs the explicit n=K of the inverse transforms.
+        for g, lead in ((GridSpec(20, 20, 1.0), ()), (GridSpec(33, 20, 0.1), (2,))):
+            a = np.repeat(rng.standard_normal(lead + (1, g.K)), g.J, axis=-2)
+            u = _solve_q_stack_arr(a, g)
+            assert np.array_equal(u, np.repeat(u[..., :1, :], g.J, axis=-2)), g
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_check_rejects_non_finite_momentum(self, bad):
@@ -414,7 +417,8 @@ class TestPeriodicity:
 
 
 # Reference implementations: the np.roll stencils the slicing kernels
-# replaced, in their exact operation order.
+# replaced, and the scipy.fft Q-solve the numpy.fft one replaced, in their
+# exact operation order.
 def roll_d1(a, axis, h):
     return (np.roll(a, -1, axis) - np.roll(a, 1, axis)) * (0.5 / h)
 
@@ -438,6 +442,25 @@ def roll_gamma(m, v, g):
     )
 
 
+def scipy_solve_q(a, g):
+    import scipy.fft
+
+    sx = np.sin(np.pi * np.arange(g.K // 2 + 1) / g.K) ** 2
+    sy = np.sin(np.pi * np.arange(g.J) / g.J) ** 2
+    ax, ay = 4.0 * g.alpha**2 / g.dx**2, 4.0 * g.alpha**2 / g.dy**2
+    lam = 1.0 + ax * sx[None, :] + ay * sy[:, None]
+    rows = a.mean(axis=-2)
+    rest = a - rows[..., None, :]
+    spec_rows = scipy.fft.rfft(rows, axis=-1)
+    spec_rows /= lam[0]
+    u_rows = scipy.fft.irfft(spec_rows, n=g.K, axis=-1)
+    spec = scipy.fft.rfft2(rest, axes=(-2, -1))
+    spec /= lam
+    u = scipy.fft.irfft2(spec, s=g.shape, axes=(-2, -1))
+    u += u_rows[..., None, :]
+    return u
+
+
 class TestKernels:
     @pytest.mark.parametrize("lead", [(), (2,)], ids=["layer", "stack"])
     @pytest.mark.parametrize("k,j", [(3, 3), (4, 5), (20, 20), (33, 17)])
@@ -453,20 +476,51 @@ class TestKernels:
             v = rng.standard_normal(lead + g.shape)
             assert np.array_equal(_gamma_arrays(a, v, g), roll_gamma(a, v, g))
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.1])
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["layer", "stack"])
+    @pytest.mark.parametrize(
+        "k,j", [(3, 3), (5, 7), (7, 5), (33, 17), (17, 33), (160, 160), (250, 250)]
+    )
+    def test_q_solve_matches_scipy_fft_bitwise(self, k, j, lead, alpha, rng):
+        g = GridSpec(k, j, alpha)
+        for _ in range(2):  # the second call runs on warm scratch
+            a = rng.standard_normal(lead + g.shape)
+            assert np.array_equal(_solve_q_stack_arr(a, g), scipy_solve_q(a, g))
+
+    def test_warm_q_solve_allocates_only_its_result(self, rng):
+        # The spectra and the y-mean split live in per-thread scratch, which
+        # must survive from one call to the next: the buffers of shape
+        # (..., J, K//2 + 1) belong to the (J, K) grid.  Besides the result,
+        # a warm call may allocate no more than its (2, K) row solve would
+        # (the rows, their spectrum and its inverse).
+        g = GridSpec(63, 64, 1.0)
+        a = rng.standard_normal((2,) + g.shape)
+        row_solve = 2 * (2 * g.K * 8 + (g.K // 2 + 1) * 16)
+        _solve_q_stack_arr(a, g)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            u = _solve_q_stack_arr(a, g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert u.nbytes <= peak <= u.nbytes + row_solve
+
     def test_results_are_fresh_arrays(self, rng):
         # Callers keep results across kernel calls (RK4 holds k1..k4), so no
         # result may share memory with the kernels' scratch or a later result.
-        g = GridSpec(16, 12, 0.7)
-        m, v, w = rng.standard_normal((3, 2) + g.shape)
-        kernels = {
-            "_gamma_arrays": lambda x: _gamma_arrays(m, x, g),
-            "_apply_q_arr": lambda x: _apply_q_arr(x, g),
-            "_solve_q_stack_arr": lambda x: _solve_q_stack_arr(x, g),
-            "_solve_q_checked": lambda x: _solve_q_checked(x, g)[0],
-        }
-        for name, kernel in kernels.items():
-            first = kernel(v)
-            kept = first.copy()
-            second = kernel(w)
-            assert not np.shares_memory(first, second), name
-            assert np.array_equal(first, kept), name
+        # An odd K needs the explicit n=K of the Q-solve's inverse transforms.
+        for g in (GridSpec(16, 12, 0.7), GridSpec(15, 12, 0.7)):
+            m, v, w = rng.standard_normal((3, 2) + g.shape)
+            kernels = {
+                "_gamma_arrays": lambda x: _gamma_arrays(m, x, g),
+                "_apply_q_arr": lambda x: _apply_q_arr(x, g),
+                "_solve_q_stack_arr": lambda x: _solve_q_stack_arr(x, g),
+                "_solve_q_checked": lambda x: _solve_q_checked(x, g)[0],
+            }
+            for name, kernel in kernels.items():
+                first = kernel(v)
+                kept = first.copy()
+                second = kernel(w)
+                assert not np.shares_memory(first, second), (name, g)
+                assert np.array_equal(first, kept), (name, g)

@@ -239,19 +239,21 @@ class TestScheme3:
 
 
     def test_package_import_leaves_scipy_sparse_and_linalg_out(self):
-        # scheme3 solves on its own, and only the dense cross-validation
-        # solve imports scipy.linalg, when it is called.
+        # scheme3 solves on its own, the Q-solve runs on numpy.fft, and only
+        # the dense cross-validation solve imports scipy.linalg, when it is
+        # called: importing the package and its CLI imports no scipy at all.
         import epdiff
 
         code = (
             "import sys; sys.path.insert(0, sys.argv[1]); import epdiff, epdiff.cli; "
-            "print([m in sys.modules for m in ('scipy.sparse', 'scipy.linalg')])"
+            "print([m in sys.modules for m in "
+            "('scipy.sparse', 'scipy.linalg', 'scipy', 'scipy.fft')])"
         )
         src = str(Path(epdiff.__file__).resolve().parent.parent)
         out = subprocess.run(
             [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
         )
-        assert out.stdout.strip() == "[False, False]"
+        assert out.stdout.strip() == "[False, False, False, False]"
 
 
 class TestScheme1PredictorCorrector:
