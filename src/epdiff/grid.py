@@ -316,10 +316,13 @@ def _dminus_arr(a: np.ndarray, axis: int, h: float) -> np.ndarray:
     return (a - np.roll(a, 1, axis)) * (1.0 / h)
 
 
-def _d2_arr(a: np.ndarray, dx: float, dy: float) -> np.ndarray:
-    """5-point Laplacian: ((a[k+1] + a[k-1]) - 2a) * (1/h^2), x then y."""
+def _d2_arr(
+    a: np.ndarray, dx: float, dy: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """5-point Laplacian: ((a[k+1] + a[k-1]) - 2a) * (1/h^2), x then y,
+    written into ``out`` (a new array if None)."""
     two_a = np.multiply(a, 2.0, out=_scratch("d2_two_a", a.shape))
-    lap = _periodic_pair(np.add, a, -1, np.empty(a.shape))
+    lap = _periodic_pair(np.add, a, -1, np.empty(a.shape) if out is None else out)
     lap -= two_a
     lap *= 1.0 / dx**2
     lap_y = _periodic_pair(np.add, a, -2, _scratch("d2_lap_y", a.shape))
@@ -329,8 +332,11 @@ def _d2_arr(a: np.ndarray, dx: float, dy: float) -> np.ndarray:
     return lap
 
 
-def _apply_q_arr(a: np.ndarray, grid: GridSpec) -> np.ndarray:
-    q = _d2_arr(a, grid.dx, grid.dy)
+def _apply_q_arr(
+    a: np.ndarray, grid: GridSpec, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Q a = a - alpha^2 Lap a, written into ``out`` (a new array if None)."""
+    q = _d2_arr(a, grid.dx, grid.dy, out)
     q *= grid.alpha**2
     return np.subtract(a, q, out=q)
 
@@ -406,6 +412,13 @@ def _solve_q_stack_arr(a: np.ndarray, grid: GridSpec) -> np.ndarray:
     round differently.  So the bits are those of a solve through
     ``scipy.fft``'s ``rfft2`` and ``irfft2``.
 
+    The y-means ride along as extra rows: the L*J rows of the mean-free
+    part and the L means (L layers) sit in one (L*J + L, K) buffer, so one
+    rfft and one irfft along x serve both, and only the y-passes are
+    restricted to the mean-free rows.  The means are scaled by 1/K, the
+    factor a default-norm 1D ``irfft`` applies.  Each numpy call costs
+    several microseconds of dispatch, more than a 20-point transform.
+
     Every intermediate lives in per-thread scratch and the returned array
     is the only one allocated.  Broadcasting operands go through plain
     assignment or a loop over layers, since a broadcasting ufunc call
@@ -414,30 +427,33 @@ def _solve_q_stack_arr(a: np.ndarray, grid: GridSpec) -> np.ndarray:
     J, K = grid.shape
     half = K // 2 + 1
     lead = a.shape[:-2]
+    n_rest = a.size // K
+    n_all = n_rest + n_rest // J
     lam = _helmholtz_symbol(K, J, grid.alpha)
 
-    def scratch(name, shape, dtype=np.float64):
-        return _scratch(name, shape, dtype, grid.shape)
+    real = _scratch("qsolve_real", (n_all, K), grid_shape=grid.shape)
+    spec = _scratch("qsolve_spec", (n_all, half), np.complex128, grid.shape)
+    rest = real[:n_rest].reshape(a.shape)
+    rows = real[n_rest:].reshape(lead + (K,))
+    spec_rest = spec[:n_rest].reshape(lead + (J, half))
 
-    rows = np.mean(a, axis=-2, out=scratch("qsolve_rows", lead + (K,)))
-    tile = scratch("qsolve_tile", a.shape)
-    tile[...] = rows[..., None, :]
-    rest = np.subtract(a, tile, out=tile)
-    spec_rows = scratch("qsolve_spec_rows", lead + (half,), np.complex128)
-    np.fft.rfft(rows, axis=-1, out=spec_rows)
-    for row in spec_rows.reshape(-1, half):
-        row /= lam[0]
-    u_rows = np.fft.irfft(spec_rows, n=K, axis=-1, out=rows)
-    spec = scratch("qsolve_spec", lead + (J, half), np.complex128)
-    np.fft.rfft(rest, axis=-1, out=spec)
-    np.fft.fft(spec, axis=-2, out=spec)
-    for layer in spec.reshape(-1, J, half):
+    # np.mean's arithmetic without its Python wrapper.
+    np.add.reduce(a, axis=-2, out=rows)
+    np.true_divide(rows, J, out=rows)
+    rest[...] = rows[..., None, :]
+    np.subtract(a, rest, out=rest)
+    np.fft.rfft(real, axis=-1, out=spec)
+    np.fft.fft(spec_rest, axis=-2, out=spec_rest)
+    for layer in spec_rest.reshape(-1, J, half):
         layer /= lam
-    np.fft.ifft(spec, axis=-2, norm="forward", out=spec)
-    u = np.fft.irfft(spec, n=K, axis=-1, norm="forward", out=np.empty(a.shape))
-    u *= 1.0 / (J * K)
-    tile[...] = u_rows[..., None, :]
-    u += tile
+    for row in spec[n_rest:]:
+        row /= lam[0]
+    np.fft.ifft(spec_rest, axis=-2, norm="forward", out=spec_rest)
+    np.fft.irfft(spec, n=K, axis=-1, norm="forward", out=real)
+    u = np.multiply(rest, 1.0 / (J * K), out=np.empty(a.shape))
+    rows *= 1.0 / K
+    rest[...] = rows[..., None, :]
+    u += rest
     return u
 
 
@@ -449,12 +465,14 @@ def _solve_q_checked(a: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, float]:
     rejected without a residual.
     """
     u = _solve_q_stack_arr(a, grid)
-    square = np.multiply(a, a, out=_scratch("qcheck_square", a.shape))
-    sq_m = np.sum(square, axis=(-2, -1)).ravel().tolist()
-    r = _apply_q_arr(u, grid)
+    work = _scratch("qcheck_work", a.shape)
+    np.multiply(a, a, out=work)
+    sq_m = np.add.reduce(work, axis=(-2, -1)).ravel().tolist()
+    # The squares are summed, so the same buffer takes the residual.
+    r = _apply_q_arr(u, grid, work)
     r -= a
     r *= r
-    sq_r = np.sum(r, axis=(-2, -1)).ravel().tolist()
+    sq_r = np.add.reduce(r, axis=(-2, -1)).ravel().tolist()
     rel = 0.0
     for nm, nr in zip(map(math.sqrt, sq_m), map(math.sqrt, sq_r)):
         if not (math.isfinite(nm) and math.isfinite(nr)):

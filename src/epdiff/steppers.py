@@ -30,6 +30,7 @@ from .grid import (
     FieldPair,
     _apply_q_arr,
     _check_same_grid,
+    _scratch,
     _solve_q_checked,
     _solve_q_stack_arr,
     norm,
@@ -140,7 +141,11 @@ def _require_consecutive(s_nm1: State, s_n: State, dt: float):
 
 
 def _pair_norm(a: np.ndarray, area: float) -> float:
-    return math.sqrt(np.sum(a * a, axis=(-2, -1)).sum() * area)
+    """Grid norm of a (2, J, K) stack: the sum of the two layer sums of
+    squares, as ``np.sum(a * a, axis=(-2, -1)).sum()`` adds them."""
+    square = np.multiply(a, a, out=_scratch("pair_norm_square", a.shape))
+    first, second = np.add.reduce(square, axis=(-2, -1)).tolist()
+    return math.sqrt((first + second) * area)
 
 
 def _finish(
@@ -285,6 +290,7 @@ def step_scheme1_pc(
     increments = []
     converged = isinstance(mode, FixedCount)
     quarter_dt = 0.25 * dt
+    norm_mc = None
 
     for _ in range(max_passes):
         mc = m_n - quarter_dt * _gamma_arrays(m_n + mp, u_n + up, grid)
@@ -293,11 +299,13 @@ def step_scheme1_pc(
         mp = mc
         up = _solve_q_stack_arr(mp, grid)
         if isinstance(mode, Tolerance):
-            if delta <= mode.rtol * _pair_norm(mc, area):
+            norm_mc = _pair_norm(mc, area)
+            if delta <= mode.rtol * norm_mc:
                 converged = True
                 break
 
-    norm_mc = _pair_norm(mp, area)
+    if norm_mc is None:
+        norm_mc = _pair_norm(mp, area)
     rel = increments[-1] / norm_mc if norm_mc > 0.0 else 0.0
     if not converged:
         raise NonConvergenceError(

@@ -1,5 +1,6 @@
 """Grid geometry, inner products, stencils, and the screened-Laplacian solve."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -35,6 +36,7 @@ from epdiff.grid import (
     _solve_q_checked,
     _solve_q_stack_arr,
 )
+from epdiff.steppers import _pair_norm
 from conftest import random_field, random_pair
 
 # The public constructors that take caller arrays, each fed from a (2, J, K)
@@ -472,6 +474,11 @@ class TestKernels:
         assert np.array_equal(_d2_arr(a, g.dx, g.dy), roll_d2(a, g.dx, g.dy))
         q = a - g.alpha**2 * roll_d2(a, g.dx, g.dy)
         assert np.array_equal(_apply_q_arr(a, g), q)
+        out = np.empty(a.shape)
+        assert _d2_arr(a, g.dx, g.dy, out) is out
+        assert np.array_equal(out, roll_d2(a, g.dx, g.dy))
+        assert _apply_q_arr(a, g, out) is out
+        assert np.array_equal(out, q)
         if lead:
             v = rng.standard_normal(lead + g.shape)
             assert np.array_equal(_gamma_arrays(a, v, g), roll_gamma(a, v, g))
@@ -505,6 +512,78 @@ class TestKernels:
         finally:
             tracemalloc.stop()
         assert u.nbytes <= peak <= u.nbytes + row_solve
+
+    def test_warm_q_check_allocates_only_its_result(self, rng):
+        # The check writes Q u into scratch, so it may allocate no more than
+        # the solve it verifies: its result and the (2, K) row solve.
+        g = GridSpec(63, 64, 1.0)
+        a = rng.standard_normal((2,) + g.shape)
+        row_solve = 2 * (2 * g.K * 8 + (g.K // 2 + 1) * 16)
+        _solve_q_checked(a, g)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            u, _ = _solve_q_checked(a, g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert u.nbytes <= peak <= u.nbytes + row_solve
+
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["layer", "stack"])
+    def test_warm_q_solve_makes_four_transform_calls(self, lead, rng, monkeypatch):
+        # At 20 points a transform costs less than the dispatch of the numpy
+        # call around it.  One rfft and one irfft along x serve the y-means
+        # and the mean-free rows alike; fft and ifft along y run once.
+        g = GridSpec(20, 20, 1.0)
+        a = rng.standard_normal(lead + g.shape)
+        expected = _solve_q_stack_arr(a, g)
+        calls = []
+        for name in (
+            "fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
+            "fftn", "ifftn", "rfftn", "irfftn", "hfft", "ihfft",
+        ):
+            def spy(*args, transform=getattr(np.fft, name), name=name, **kwargs):
+                calls.append(name)
+                return transform(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, spy)
+        u = _solve_q_stack_arr(a, g)
+        monkeypatch.undo()
+        assert sorted(calls) == ["fft", "ifft", "irfft", "rfft"]
+        assert np.array_equal(u, expected)
+
+    def test_solve_check_and_corrector_norm_skip_reduction_wrappers(
+        self, rng, monkeypatch
+    ):
+        # np.mean and np.sum cost microseconds of Python wrapper each; the
+        # kernels call the add.reduce ufunc directly, with the same bits.
+        g = GridSpec(20, 20, 1.0)
+        layer = rng.standard_normal(g.shape)
+        stacks = list(rng.standard_normal((3, 2) + g.shape))
+
+        def solves():
+            return [
+                (_solve_q_stack_arr(a, g), _solve_q_checked(a, g)[0])
+                for a in [layer] + stacks
+            ]
+
+        expected = solves()
+        expected_norms = [
+            math.sqrt(np.sum(a * a, axis=(-2, -1)).sum() * g.cell_area) for a in stacks
+        ]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a numpy reduction wrapper ran")
+
+        monkeypatch.setattr(np, "mean", refuse)
+        monkeypatch.setattr(np, "sum", refuse)
+        got = solves()
+        norms = [_pair_norm(a, g.cell_area) for a in stacks]
+        monkeypatch.undo()
+        for (u, checked), (u_ref, checked_ref) in zip(got, expected):
+            assert np.array_equal(u, u_ref)
+            assert np.array_equal(checked, checked_ref)
+        assert norms == expected_norms
 
     def test_results_are_fresh_arrays(self, rng):
         # Callers keep results across kernel calls (RK4 holds k1..k4), so no

@@ -237,6 +237,25 @@ class TestScheme3:
         assert calls["_apply_q_arr"] == iterations + 1
         assert calls["_gamma_arrays"] == calls["_apply_q_arr"] + 1
 
+    @pytest.mark.parametrize("k,j", [(8, 8), (7, 9)])
+    def test_operator_is_symmetric_positive_plus_skew(self, k, j, rng):
+        # The preconditions of the Concus-Golub-Widlund CG, in the plain dot
+        # product the solver uses: v -> Gamma(m_n, v) is skew, and Q is
+        # symmetric with every eigenvalue >= 1.  Both assembled from unit
+        # vectors.
+        from epdiff.core import _gamma_arrays
+        from epdiff.grid import _apply_q_arr
+
+        g = GridSpec(k, j, 0.8)
+        m_n = rng.standard_normal((2,) + g.shape)
+        units = np.eye(2 * k * j).reshape((-1, 2) + g.shape)
+        gam = np.array([_gamma_arrays(m_n, e, g).ravel() for e in units]).T
+        q = np.array([_apply_q_arr(e, g).ravel() for e in units]).T
+        assert np.linalg.norm(gam + gam.T) <= 1e-13 * np.linalg.norm(gam)
+        assert np.linalg.norm(q - q.T) <= 1e-13 * np.linalg.norm(q)
+        eigenvalues = np.linalg.eigvalsh(q)
+        assert eigenvalues.min() >= 1.0 - 1e-13 * eigenvalues.max()
+
 
     def test_package_import_leaves_scipy_sparse_and_linalg_out(self):
         # scheme3 solves on its own, the Q-solve runs on numpy.fft, and only
@@ -265,6 +284,32 @@ class TestScheme1PredictorCorrector:
         res = step_scheme1_pc(s0, s1, dt, pc_config(dt, FixedCount(4)))
         assert res.corrector_iters == 4
         assert len(res.corrector_increments) == 4
+
+    def test_norms_taken_per_pass(self, monkeypatch):
+        # In tolerance mode each pass takes the norm of its increment and of
+        # its iterate, and the last iterate's norm also scales the reported
+        # increment; a fixed count takes the iterate's norm once, at the end.
+        import epdiff.steppers as steppers
+
+        calls = []
+        pair_norm = steppers._pair_norm
+
+        def spy(a, area):
+            calls.append(a)
+            return pair_norm(a, area)
+
+        monkeypatch.setattr(steppers, "_pair_norm", spy)
+        g = GridSpec(20, 20, 1.0)
+        dt = g.dx**2
+        s0 = sine_profile(g)
+        res = step_scheme1_pc(None, s0, dt, pc_config(dt, Tolerance(1e-14, 200)))
+        assert len(calls) == 2 * res.corrector_iters
+        assert res.linear_solve_residual == res.corrector_increments[-1] / pair_norm(
+            res.state.m.values, g.cell_area
+        )
+        calls.clear()
+        step_scheme1_pc(None, s0, dt, pc_config(dt, FixedCount(3)))
+        assert len(calls) == 3 + 1
 
     def test_converged_step_satisfies_midpoint_relation(self):
         # At the fixed point, (M_new - M_n)/dt = -Gamma(avg m, avg u).
