@@ -33,14 +33,13 @@ def _build_parser() -> argparse.ArgumentParser:
         ("reversibility", "forward-reverse-return error (percent)"),
         ("bench", "per-step wall-clock cost across grids"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common_flags(p)
+        _add_common_flags(sub.add_parser(name, help=help_text), name)
     return parser
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    for key, opt in OPTIONS.items():
-        if key == "out":  # --config keeps its place in --help, just before --out
+def _add_common_flags(p: argparse.ArgumentParser, command: str) -> None:
+    for opt in (opt for opt in OPTIONS.values() if command in opt.commands):
+        if opt.key == "out":  # --config keeps its place in --help, just before --out
             p.add_argument("--config", help="key = value config file (flags win)")
         action = "store_true" if opt.switch else "store"
         p.add_argument(opt.flag, action=action, help=opt.help)

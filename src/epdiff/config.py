@@ -2,9 +2,10 @@
 and flag merging.
 
 Each option is declared once, in ``OPTIONS``; the CLI flags, the config-file
-keys and the per-command defaults all come from it.  Config files are plain
-``key = value`` text (``#`` starts a comment) whose keys are the long flags
-with dashes replaced by underscores.  Flags win over file values.
+keys, the per-command defaults and the commands that read it all come from
+it.  Config files are plain ``key = value`` text (``#`` starts a comment)
+whose keys are the long flags with dashes replaced by underscores.  Flags win
+over file values.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import ConfigError
-from .profiles import FrontKind
+from .profiles import FrontKind, default_spec
 from .steppers import (
     DEFAULT_CORRECTOR,
     BootstrapKind,
@@ -56,12 +57,10 @@ def parse_scheme_label(
     label = label.strip()
     if label.startswith("scheme1-fixed="):
         try:
-            count = int(label.split("=", 1)[1])
+            corrector = FixedCount(int(label.split("=", 1)[1]))
         except ValueError:
             raise ConfigError(f"bad corrector count in scheme label {label!r}") from None
-        if count < 1:
-            raise ConfigError(f"corrector count must be positive in {label!r}")
-        return SchemeSelection(label, SchemeKind.SCHEME1_PC, FixedCount(count))
+        return SchemeSelection(label, SchemeKind.SCHEME1_PC, corrector)
     # Every other label is the value of its scheme kind.
     try:
         kind = SchemeKind(label)
@@ -140,13 +139,15 @@ def _path(text: str) -> Path:
 @dataclass(frozen=True)
 class Option:
     """One experiment option: config key, flag ``--key`` (``_`` as ``-``), parser
-    of its text, help string, and default text (``None``: unset) or a dict of
-    default texts keyed by command.  Defaults are parsed like given values."""
+    of its text, help string, default text (``None``: unset) or a dict of
+    default texts keyed by command, and the commands that read it (the others
+    reject it when given).  Defaults are parsed like given values."""
 
     key: str
     parse: Callable[[str], object]
     default: str | None | dict[str, str]
     help: str
+    commands: tuple[str, ...] = COMMANDS
 
     @property
     def flag(self) -> str:
@@ -162,6 +163,9 @@ def _by_command(default: str, **special: str) -> dict[str, str]:
     return {command: special.get(command, default) for command in COMMANDS}
 
 
+# Commands that step at a chosen dt; convergence steps at dt = dx.
+_STEPPED = ("run", "conserve", "reversibility", "bench")
+
 # In --help order.
 OPTIONS = {opt.key: opt for opt in (
     Option("scheme", _listed(str.strip), _by_command(
@@ -175,12 +179,12 @@ OPTIONS = {opt.key: opt for opt in (
         "reversibility": "200x200", "bench": "100,200,300",
     }, "grid size K or KxJ; commands taking several grids accept a comma list"),
     Option("alpha", _positive, None,
-           "smoothing length scale (default 1 for sine, sigma for fronts)"),
-    Option("dt", _positive, None, "explicit time step (wins over the rules below)"),
-    Option("dt_dx2", _bool, "false", "set dt = dx^2"),
-    Option("dt_dx_ratio", _positive, None, "set dt = RATIO*dx"),
+           "smoothing length scale (default 1 for sine, else the sigma of the default front)"),
+    Option("dt", _positive, None, "explicit time step (wins over the rules below)", _STEPPED),
+    Option("dt_dx2", _bool, "false", "set dt = dx^2", _STEPPED),
+    Option("dt_dx_ratio", _positive, None, "set dt = RATIO*dx", _STEPPED),
     Option("t_final", _positive, _by_command("0.4", conserve="50", convergence="0.375"),
-           "final time of each run"),
+           "final time of each run", ("run", "conserve", "convergence", "reversibility")),
     Option("profile", _one_of("sine", *(kind.value for kind in FrontKind)),
            _by_command("plate", conserve="sine"), "sine | plate | parallel | star"),
     Option("sigma", _positive, None, "wave-front cross-section width"),
@@ -190,19 +194,21 @@ OPTIONS = {opt.key: opt for opt in (
     Option("gaussian_cross_section", _bool, "false",
            "use exp(-(d/sigma)^2) instead of exp(-d/sigma)"),
     Option("out", _path, "out", "output directory (default ./out)"),
-    Option("snapshot_every", _number(int, -1), "0", "snapshot cadence in steps (0 = none)"),
+    Option("snapshot_every", _number(int, -1), "0", "snapshot cadence in steps (0 = none)",
+           ("run", "conserve")),
     Option("seed", _number(int, -math.inf), "0",
            "seed recorded in summary.json for randomized checks"),
-    Option("full_scale", _bool, "false", "use the full 1025x1025 grid for wave-front runs"),
-    Option("reference_grid", _grid, "256", "reference grid for convergence"),
+    Option("full_scale", _bool, "false", "use the full 1025x1025 grid for wave-front runs",
+           ("run", "conserve", "reversibility")),
+    Option("reference_grid", _grid, "256", "reference grid for convergence", ("convergence",)),
     Option("corrector_rtol", _number(float, 0.0, 1.0), str(DEFAULT_CORRECTOR.rtol),
            "tolerance-mode corrector rtol"),
     Option("corrector_max_iter", _number(int, 0), str(DEFAULT_CORRECTOR.max_iter),
            "corrector iteration cap"),
     Option("bootstrap", _one_of(*(kind.value for kind in BootstrapKind), convert=BootstrapKind),
            "rk4", "first-step method for two-level schemes: rk4 | scheme1"),
-    Option("bench_steps", _number(int, 0), "20", "timed steps per bench rep"),
-    Option("bench_reps", _number(int, 0), "3", "bench repetitions (median taken)"),
+    Option("bench_steps", _number(int, 0), "20", "timed steps per bench rep", ("bench",)),
+    Option("bench_reps", _number(int, 0), "3", "bench repetitions (median taken)", ("bench",)),
 )}
 
 
@@ -276,7 +282,8 @@ class ExperimentConfig:
 
 def build_config(command: str, flags: dict[str, object]) -> ExperimentConfig:
     """Resolve every option from the flags, else the config file named by
-    ``flags["config"]``, else the command's default."""
+    ``flags["config"]``, else the command's default.  A given option that the
+    command does not read is a ConfigError; the unread ones keep their defaults."""
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     given: dict[str, object] = {}
@@ -287,6 +294,9 @@ def build_config(command: str, flags: dict[str, object]) -> ExperimentConfig:
         for key, value in flags.items()
         if key != "config" and value is not None and value is not False
     )
+    for key in given:
+        if key not in OPTIONS or command not in OPTIONS[key].commands:
+            raise ConfigError(f"{command} takes no option {key!r}")
     values: dict[str, object] = {}
     for key, opt in OPTIONS.items():
         default = opt.default[command] if isinstance(opt.default, dict) else opt.default
@@ -296,9 +306,15 @@ def build_config(command: str, flags: dict[str, object]) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"{key} {exc}, got {text!r}") from None
 
+    front = given.keys() & {"sigma", "amplitude", "gaussian_cross_section", "full_scale"}
+    if values["profile"] == "sine" and front:
+        raise ConfigError(f"the sine profile takes no {', '.join(sorted(front))}")
+    if command in ("run", "conserve", "reversibility") and len(values["grid"]) > 1:
+        raise ConfigError(f"{command} takes one grid, got {len(values['grid'])}")
     rtol, max_iter = values.pop("corrector_rtol"), values.pop("corrector_max_iter")
-    if values["alpha"] is None:
-        values["alpha"] = _default_alpha(values["profile"])
+    if values["alpha"] is None:  # 1 for sine, else the sigma of the default front
+        profile = values["profile"]
+        values["alpha"] = 1.0 if profile == "sine" else default_spec(FrontKind(profile)).sigma
     return ExperimentConfig(
         command=command,
         schemes=tuple(parse_scheme_label(s, rtol, max_iter) for s in values.pop("scheme")),
@@ -306,10 +322,3 @@ def build_config(command: str, flags: dict[str, object]) -> ExperimentConfig:
         out_dir=values.pop("out"),
         **values,
     )
-
-
-def _default_alpha(profile: str) -> float:
-    if profile == "sine":
-        return 1.0
-    # alpha = sigma for the default wave-front widths.
-    return 0.05 if profile == "star" else 0.1

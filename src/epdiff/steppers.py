@@ -396,8 +396,8 @@ def integrate(
     """Run the configured stepper from ``initial`` to ``t_final``.
 
     The two-level schemes bootstrap their second level with ``cfg.bootstrap``
-    unless ``seed_second_state`` supplies it directly (used by the
-    reversibility protocol).  ``observer`` is invoked with every
+    unless ``seed_second_state`` supplies it directly (for seeded-reversal
+    checks of the two-level stencils).  ``observer`` is invoked with every
     :class:`StepResult`; ``snapshot_every`` > 0 stores the velocity every
     that many steps (step 0 included).  Stepper failures abort with the step
     index in the message and in ``exc.step``.

@@ -1,6 +1,8 @@
 """CLI commands, CSV schemas, snapshot format, and config handling."""
 
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +13,12 @@ from epdiff.cli import _build_parser, main
 from epdiff.config import (
     COMMANDS,
     OPTIONS,
+    ExperimentConfig,
     build_config,
     parse_scheme_label,
     read_config_file,
 )
-from epdiff.harness import _grid
+from epdiff.harness import _grid, run_command
 from epdiff.snapshots import read_snapshot, write_snapshot
 from epdiff.steppers import _resolve_step_count
 from conftest import random_pair
@@ -83,7 +86,11 @@ class TestConfigFile:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_defaults_resolve_whole_step_counts(self, command):
         # A default that is not a whole number of steps fails before it runs.
-        for flags in ({}, {"full_scale": True}):
+        # full_scale counts where the command reads it and defaults to a front.
+        cases = [{}]
+        if command in OPTIONS["full_scale"].commands and front_default(command):
+            cases.append({"full_scale": True})
+        for flags in cases:
             cfg = build_config(command, flags)
             if command == "convergence":
                 # Every level and the reference run at dt = dx.
@@ -138,6 +145,18 @@ COMMAND_DEFAULTS = {
         ((100, 100), (200, 200), (300, 300)), 0.1, 0.4, "plate", 1.0, 0.125,
     ),
 }
+
+# Options that only a wave-front profile reads.
+FRONT_ONLY = {"sigma", "amplitude", "gaussian_cross_section", "full_scale"}
+
+
+def front_default(command: str) -> bool:
+    return build_config(command, {}).profile != "sine"
+
+
+def read_by(command: str) -> set[str]:
+    return {key for key, opt in OPTIONS.items() if command in opt.commands}
+
 
 # One non-default value per option, in config-file form.
 OPTION_SAMPLES = {
@@ -195,25 +214,110 @@ class TestOptionTable:
         assert set(OPTION_SAMPLES) == set(OPTIONS)
         text = OPTION_SAMPLES[key]
         cfg_file = tmp_path / "one.cfg"
-        cfg_file.write_text(f"{key} = {text}\n")
         opt = OPTIONS[key]
         argv = [opt.flag] if opt.switch else [opt.flag, text]
-        for command in COMMANDS:
-            args = vars(_build_parser().parse_args([command, *argv]))
+        for command in opt.commands:
+            # The sine profile takes no front options: give those a plate.
+            plate = key in FRONT_ONLY and not front_default(command)
+            base = {"profile": "plate"} if plate else {}
+            cfg_file.write_text(f"{key} = {text}\n" + "profile = plate\n" * plate)
+            extra = ["--profile", "plate"] * plate
+            args = vars(_build_parser().parse_args([command, *argv, *extra]))
             del args["command"]
             from_flag = build_config(command, args)
             assert build_config(command, {"config": cfg_file}) == from_flag
-            assert from_flag != build_config(command, {})
+            assert from_flag != build_config(command, base)
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_help_lists_every_option(self, command, capsys):
         with pytest.raises(SystemExit):
             main([command, "--help"])
         text = capsys.readouterr().out
-        for opt in OPTIONS.values():
-            assert opt.flag in text
-            assert " ".join(opt.help.split()[:3]) in " ".join(text.split())
-        assert "--config" in text
+        flags = set(re.findall(r"--[a-z0-9-]+", text))
+        assert flags == {OPTIONS[key].flag for key in read_by(command)} | {"--config", "--help"}
+        for key in read_by(command):
+            assert " ".join(OPTIONS[key].help.split()[:3]) in " ".join(text.split())
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unread_options_rejected(self, tmp_path, command, capsys):
+        cfg_file = tmp_path / "one.cfg"
+        for key in OPTIONS.keys() - read_by(command):
+            opt, text = OPTIONS[key], OPTION_SAMPLES[key]
+            with pytest.raises(SystemExit) as exc:
+                main([command, *([opt.flag] if opt.switch else [opt.flag, text])])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {opt.flag}" in capsys.readouterr().err
+            cfg_file.write_text(f"{key} = {text}\n")
+            for flags in ({"config": cfg_file}, {key: text}):
+                with pytest.raises(ConfigError, match=f"^{command} takes no option '{key}'$"):
+                    build_config(command, flags)
+
+    def test_unread_options_of_bench_exit_two(self, tmp_path, capsys):
+        # This command line used to exit 0 and benchmark 8x8.
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "bench", "--grid", "8", "--full-scale", "--snapshot-every", "2",
+                "--reference-grid", "64", "--bench-steps", "2", "--bench-reps", "1",
+                "--scheme", "scheme2", "--out", str(tmp_path),
+            ])
+        assert exc.value.code == 2
+        assert not (tmp_path / "bench.csv").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_sine_profile_rejects_front_options(self, tmp_path, command):
+        base = {"profile": "sine"}
+        build_config(command, base)  # defaults such as amplitude 0.5 are no trip
+        cfg_file = tmp_path / "front.cfg"
+        for key in FRONT_ONLY & read_by(command):
+            cfg_file.write_text(f"{key} = {OPTION_SAMPLES[key]}\n")
+            for flags in ({**base, key: OPTION_SAMPLES[key]}, {**base, "config": cfg_file}):
+                with pytest.raises(ConfigError, match=f"sine profile takes no {key}"):
+                    build_config(command, flags)
+
+    @pytest.mark.parametrize("command", ["run", "conserve", "reversibility"])
+    def test_single_run_commands_reject_grid_lists(self, tmp_path, command):
+        with pytest.raises(ConfigError, match=f"{command} takes one grid, got 2"):
+            build_config(command, {"grid": "16,32"})
+        # It used to run 16x16 and exit 0.
+        assert main([command, "--grid", "16,32", "--out", str(tmp_path)]) == 2
+        assert not list(tmp_path.iterdir())
+
+
+# A tiny run of each command, every other option at its default.
+TINY_RUNS = {
+    "run": {"grid": "8", "t_final": "0.125"},
+    "conserve": {"grid": "8", "t_final": "0.125", "profile": "plate", "scheme": "scheme2"},
+    "convergence": {"grid": "8,16", "reference_grid": "32", "t_final": "0.25"},
+    "reversibility": {"grid": "8", "t_final": "0.125"},
+    "bench": {"grid": "8", "scheme": "scheme2", "bench_steps": "1", "bench_reps": "1"},
+}
+
+# Config fields built from other option keys; every other field is its key.
+FIELD_OPTIONS = {
+    "schemes": {"scheme", "corrector_rtol", "corrector_max_iter"},
+    "grids": {"grid"},
+    "out_dir": {"out"},
+}
+
+
+class TestOptionTraffic:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_commands_read_exactly_their_options(self, tmp_path, command):
+        # The option table's commands must match what each command reads.
+        reads: set[str] = set()
+
+        class Recording(ExperimentConfig):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return object.__getattribute__(self, name)
+
+        cfg = build_config(command, {**TINY_RUNS[command], "out": str(tmp_path)})
+        fields = {f.name for f in dataclasses.fields(cfg)} - {"command"}
+        recording = Recording(**{f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)})
+        reads.clear()
+        assert run_command(recording) == 0
+        read = set().union(*(FIELD_OPTIONS.get(name, {name}) for name in reads & fields))
+        assert read == read_by(command)
 
 
 class TestSnapshots:
