@@ -24,7 +24,6 @@ from .steppers import (
     FixedCount,
     SchemeConfig,
     SchemeKind,
-    Tolerance,
 )
 
 __all__ = [
@@ -48,12 +47,9 @@ class SchemeSelection:
         )
 
 
-def parse_scheme_label(
-    label: str,
-    rtol: float = DEFAULT_CORRECTOR.rtol,
-    max_iter: int = DEFAULT_CORRECTOR.max_iter,
-) -> SchemeSelection:
-    """Parse one scheme label: scheme1 | scheme1-fixed=N | scheme2 | scheme3 | rk4."""
+def parse_scheme_label(label: str) -> SchemeSelection:
+    """Parse one scheme label: scheme1 | scheme1-fixed=N | scheme2 | scheme3 | rk4.
+    Every label but ``scheme1-fixed=N`` carries ``DEFAULT_CORRECTOR``."""
     label = label.strip()
     if label.startswith("scheme1-fixed="):
         try:
@@ -66,7 +62,7 @@ def parse_scheme_label(
         kind = SchemeKind(label)
     except ValueError:
         raise ConfigError(f"unknown scheme {label!r}") from None
-    return SchemeSelection(label, kind, Tolerance(rtol, max_iter))
+    return SchemeSelection(label, kind, DEFAULT_CORRECTOR)
 
 
 # Parsers of option text.  Each raises ValueError with a phrase that
@@ -198,13 +194,7 @@ OPTIONS = {opt.key: opt for opt in (
            ("run", "conserve")),
     Option("seed", _number(int, -math.inf), "0",
            "seed recorded in summary.json for randomized checks"),
-    Option("full_scale", _bool, "false", "use the full 1025x1025 grid for wave-front runs",
-           ("run", "conserve", "reversibility")),
     Option("reference_grid", _grid, "256", "reference grid for convergence", ("convergence",)),
-    Option("corrector_rtol", _number(float, 0.0, 1.0), str(DEFAULT_CORRECTOR.rtol),
-           "tolerance-mode corrector rtol"),
-    Option("corrector_max_iter", _number(int, 0), str(DEFAULT_CORRECTOR.max_iter),
-           "corrector iteration cap"),
     Option("bootstrap", _one_of(*(kind.value for kind in BootstrapKind), convert=BootstrapKind),
            "rk4", "first-step method for two-level schemes: rk4 | scheme1"),
     Option("bench_steps", _number(int, 0), "20", "timed steps per bench rep", ("bench",)),
@@ -251,7 +241,6 @@ class ExperimentConfig:
     out_dir: Path
     snapshot_every: int
     seed: int
-    full_scale: bool
     grids: tuple[tuple[int, int], ...]
     reference_grid: tuple[int, int]
     bootstrap: BootstrapKind
@@ -306,18 +295,20 @@ def build_config(command: str, flags: dict[str, object]) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"{key} {exc}, got {text!r}") from None
 
-    front = given.keys() & {"sigma", "amplitude", "gaussian_cross_section", "full_scale"}
+    schemes = tuple(parse_scheme_label(label) for label in values.pop("scheme"))
+    front = given.keys() & {"sigma", "amplitude", "gaussian_cross_section"}
     if values["profile"] == "sine" and front:
         raise ConfigError(f"the sine profile takes no {', '.join(sorted(front))}")
+    if "bootstrap" in given and all(sel.kind is SchemeKind.RK4 for sel in schemes):
+        raise ConfigError("the rk4 scheme takes no bootstrap")
     if command in ("run", "conserve", "reversibility") and len(values["grid"]) > 1:
         raise ConfigError(f"{command} takes one grid, got {len(values['grid'])}")
-    rtol, max_iter = values.pop("corrector_rtol"), values.pop("corrector_max_iter")
     if values["alpha"] is None:  # 1 for sine, else the sigma of the default front
         profile = values["profile"]
         values["alpha"] = 1.0 if profile == "sine" else default_spec(FrontKind(profile)).sigma
     return ExperimentConfig(
         command=command,
-        schemes=tuple(parse_scheme_label(s, rtol, max_iter) for s in values.pop("scheme")),
+        schemes=schemes,
         grids=values.pop("grid"),
         out_dir=values.pop("out"),
         **values,

@@ -54,7 +54,7 @@ class RunRecord:
     dt: float
     series: list[SeriesRow] = field(default_factory=list)
     snapshots: list[tuple[float, FieldPair]] = field(default_factory=list)
-    # Last two states (one for single-step runs); used to seed reversals.
+    # The last two states; used to seed reversals.
     states_tail: tuple[State, ...] = ()
 
     def column(self, name: str) -> np.ndarray:

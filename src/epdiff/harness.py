@@ -19,18 +19,12 @@ import numpy as np
 
 from .config import ExperimentConfig, SchemeSelection
 from .core import State
-from .diagnostics import (
-    RunRecord,
-    convergence_study,
-    fit_loglog_slope,
-    invariant_stats,
-    reversibility_test,
-)
+from .diagnostics import RunRecord, convergence_study, fit_loglog_slope, reversibility_test
 from .errors import ConfigError, NumericalFailureError
 from .grid import GridSpec
 from .profiles import FrontKind, WaveFrontSpec, default_spec, sine_profile, wavefront_profile
 from .snapshots import write_snapshot
-from .steppers import SchemeKind, integrate
+from .steppers import integrate
 
 __all__ = [
     "cmd_conserve",
@@ -41,8 +35,6 @@ __all__ = [
 ]
 
 INVARIANTS_HEADER = "step,t,energy,momentum_x,momentum_y,corrector_iters,wall_seconds"
-
-_FULL_SCALE_POINTS = 1025
 
 
 def _fmt(x: float) -> str:
@@ -72,8 +64,6 @@ def _initial_state(cfg: ExperimentConfig, grid: GridSpec) -> State:
 
 
 def _grid(cfg: ExperimentConfig) -> GridSpec:
-    if cfg.full_scale and cfg.profile != "sine":
-        return GridSpec(_FULL_SCALE_POINTS, _FULL_SCALE_POINTS, cfg.alpha)
     return GridSpec(cfg.K, cfg.J, cfg.alpha)
 
 
@@ -118,6 +108,7 @@ def _failure_summary(exc: NumericalFailureError) -> dict:
 
 def _write_summary(cfg: ExperimentConfig, payload: dict) -> None:
     payload = {"command": cfg.command, "seed": cfg.seed, **payload}
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.out_dir / "summary.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -142,13 +133,10 @@ def _each_scheme(
 
 def cmd_conserve(cfg: ExperimentConfig) -> int:
     """Invariant tracking with optional snapshots, for ``conserve`` and ``run``."""
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     grid = _grid(cfg)
     dt = cfg.resolve_dt(grid.dx)
 
     def run(sel: SchemeSelection) -> dict:
-        scheme_dir = cfg.out_dir / sel.label
-        scheme_dir.mkdir(parents=True, exist_ok=True)
         initial = _initial_state(cfg, grid)
         record = integrate(
             initial,
@@ -156,6 +144,8 @@ def cmd_conserve(cfg: ExperimentConfig) -> int:
             initial.t + cfg.t_final,
             snapshot_every=cfg.snapshot_every,
         )
+        scheme_dir = cfg.out_dir / sel.label
+        scheme_dir.mkdir(parents=True, exist_ok=True)
         write_invariants_csv(scheme_dir / "invariants.csv", record)
         for index, (t, u) in enumerate(record.snapshots):
             write_snapshot(u, t, scheme_dir / f"snap_{index * cfg.snapshot_every:08d}.bin")
@@ -176,7 +166,6 @@ def cmd_conserve(cfg: ExperimentConfig) -> int:
 
 def cmd_convergence(cfg: ExperimentConfig) -> int:
     """Self-convergence with dt = dx over nested grids against a fine reference."""
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     sizes = [k for k, j in cfg.grids]
     for k, j in cfg.grids:
         if k != j:
@@ -207,8 +196,6 @@ def cmd_convergence(cfg: ExperimentConfig) -> int:
     lines = ["h,error"]
     for h, err in points:
         lines.append(f"{_fmt(h)},{_fmt(err)}")
-    (cfg.out_dir / "convergence.csv").write_text("\n".join(lines) + "\n")
-    slope = fit_loglog_slope(points)
     _write_summary(
         cfg,
         {
@@ -219,15 +206,15 @@ def cmd_convergence(cfg: ExperimentConfig) -> int:
             "grids": sizes,
             "reference_grid": reference,
             "errors": {str(n): err for n, (_, err) in zip(sizes, points)},
-            "fitted_slope": slope,
+            "fitted_slope": fit_loglog_slope(points),
         },
     )
+    (cfg.out_dir / "convergence.csv").write_text("\n".join(lines) + "\n")
     return 0
 
 
 def cmd_reversibility(cfg: ExperimentConfig) -> int:
     """Forward-reverse-return experiment; errors reported in percent."""
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     grid = _grid(cfg)
     dt = cfg.resolve_dt(grid.dx)
     sigma = _sigma_of(cfg)
@@ -275,7 +262,6 @@ def _timed_steps(
 
 def cmd_bench(cfg: ExperimentConfig) -> int:
     """Per-step wall-clock cost across grids (median of reps, warmup excluded)."""
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     warmup = 5
     rows = ["grid_points,scheme,seconds_per_step"]
 

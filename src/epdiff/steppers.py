@@ -483,5 +483,5 @@ def integrate(
             step=step,
         ) from exc
 
-    record.states_tail = (prev, cur) if prev is not None else (cur,)
+    record.states_tail = (prev, cur)
     return record

@@ -86,10 +86,10 @@ class TestConfigFile:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_defaults_resolve_whole_step_counts(self, command):
         # A default that is not a whole number of steps fails before it runs.
-        # full_scale counts where the command reads it and defaults to a front.
+        # 1025 is the grid of the paper's wave-front runs.
         cases = [{}]
-        if command in OPTIONS["full_scale"].commands and front_default(command):
-            cases.append({"full_scale": True})
+        if command in ("run", "reversibility"):
+            cases.append({"grid": "1025"})
         for flags in cases:
             cfg = build_config(command, flags)
             if command == "convergence":
@@ -107,12 +107,13 @@ class TestConfigFile:
     def test_booleans_are_strict(self, tmp_path, value):
         # A misspelt switch used to resolve silently to False.
         cfg_file = tmp_path / "switch.cfg"
-        cfg_file.write_text(f"full_scale = {value}\n")
-        with pytest.raises(ConfigError, match="full_scale"):
+        cfg_file.write_text(f"gaussian_cross_section = {value}\n")
+        with pytest.raises(ConfigError, match="gaussian_cross_section"):
             build_config("run", {"config": cfg_file})
         for text, expected in (("YES", True), ("On", True), ("1", True), ("off", False)):
-            cfg_file.write_text(f"full_scale = {text}\n")
-            assert build_config("run", {"config": cfg_file}).full_scale is expected
+            cfg_file.write_text(f"gaussian_cross_section = {text}\n")
+            cfg = build_config("run", {"config": cfg_file})
+            assert cfg.gaussian_cross_section is expected
 
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigError):
@@ -121,7 +122,7 @@ class TestConfigFile:
             build_config("conserve", {"grid": "banana"})
         with pytest.raises(ConfigError):
             build_config("conserve", {"profile": "blob"})
-        for key in ("t_final", "dt", "alpha", "sigma", "corrector_rtol"):
+        for key in ("t_final", "dt", "alpha", "sigma"):
             for text in ("inf", "-inf", "nan"):
                 with pytest.raises(ConfigError, match=key):
                     build_config("conserve", {key: text})
@@ -147,7 +148,7 @@ COMMAND_DEFAULTS = {
 }
 
 # Options that only a wave-front profile reads.
-FRONT_ONLY = {"sigma", "amplitude", "gaussian_cross_section", "full_scale"}
+FRONT_ONLY = {"sigma", "amplitude", "gaussian_cross_section"}
 
 
 def front_default(command: str) -> bool:
@@ -157,6 +158,10 @@ def front_default(command: str) -> bool:
 def read_by(command: str) -> set[str]:
     return {key for key, opt in OPTIONS.items() if command in opt.commands}
 
+
+# Options the front end no longer has, with a sample value.  The library
+# keeps GridSpec(1025, 1025, alpha) and SchemeConfig(corrector=Tolerance(...)).
+REMOVED_OPTIONS = {"full_scale": "true", "corrector_rtol": "1e-10", "corrector_max_iter": "9"}
 
 # One non-default value per option, in config-file form.
 OPTION_SAMPLES = {
@@ -174,10 +179,7 @@ OPTION_SAMPLES = {
     "out": "elsewhere",
     "snapshot_every": "2",
     "seed": "7",
-    "full_scale": "true",
     "reference_grid": "64",
-    "corrector_rtol": "1e-10",
-    "corrector_max_iter": "9",
     "bootstrap": "scheme1",
     "bench_steps": "4",
     "bench_reps": "2",
@@ -207,7 +209,7 @@ class TestOptionTable:
         assert (cfg.snapshot_every, cfg.seed, cfg.out_dir) == (0, 0, Path("out"))
         assert cfg.bootstrap is BootstrapKind.RK4
         assert (cfg.dt, cfg.dt_dx_ratio, cfg.sigma) == (None, None, None)
-        assert not (cfg.dt_dx2 or cfg.gaussian_cross_section or cfg.full_scale)
+        assert not (cfg.dt_dx2 or cfg.gaussian_cross_section)
 
     @pytest.mark.parametrize("key", OPTIONS)
     def test_file_and_flag_forms_agree(self, tmp_path, key):
@@ -251,6 +253,15 @@ class TestOptionTable:
             for flags in ({"config": cfg_file}, {key: text}):
                 with pytest.raises(ConfigError, match=f"^{command} takes no option '{key}'$"):
                     build_config(command, flags)
+        for key, text in REMOVED_OPTIONS.items():
+            flag = "--" + key.replace("_", "-")
+            with pytest.raises(SystemExit) as exc:
+                main([command, flag, *([] if key == "full_scale" else [text])])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+            cfg_file.write_text(f"{key} = {text}\n")
+            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+                build_config(command, {"config": cfg_file})
 
     def test_unread_options_of_bench_exit_two(self, tmp_path, capsys):
         # This command line used to exit 0 and benchmark 8x8.
@@ -274,6 +285,28 @@ class TestOptionTable:
                 with pytest.raises(ConfigError, match=f"sine profile takes no {key}"):
                     build_config(command, flags)
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_rk4_alone_rejects_bootstrap(self, tmp_path, command):
+        # The bootstrap used to be taken and ignored when no label read it.
+        cfg_file = tmp_path / "boot.cfg"
+        cfg_file.write_text("bootstrap = scheme1\n")
+        for flags in ({"bootstrap": "scheme1"}, {"config": cfg_file}):
+            with pytest.raises(ConfigError, match="rk4 scheme takes no bootstrap"):
+                build_config(command, {**flags, "scheme": "rk4"})
+        build_config(command, {"scheme": "rk4"})
+        if command != "convergence":  # it takes one scheme
+            build_config(command, {"config": cfg_file, "scheme": "rk4,scheme2"})
+        out = tmp_path / "out"
+        argv = [command, "--scheme", "rk4", "--bootstrap", "scheme1", "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+
+    def test_readme_synopsis_lists_every_flag(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        synopsis = readme.split("## Command line", 1)[1].split("```")[1]
+        flags = set(re.findall(r"--[a-z0-9-]+", synopsis))
+        assert flags == {opt.flag for opt in OPTIONS.values()} | {"--config"}
+
     @pytest.mark.parametrize("command", ["run", "conserve", "reversibility"])
     def test_single_run_commands_reject_grid_lists(self, tmp_path, command):
         with pytest.raises(ConfigError, match=f"{command} takes one grid, got 2"):
@@ -294,7 +327,7 @@ TINY_RUNS = {
 
 # Config fields built from other option keys; every other field is its key.
 FIELD_OPTIONS = {
-    "schemes": {"scheme", "corrector_rtol", "corrector_max_iter"},
+    "schemes": {"scheme"},
     "grids": {"grid"},
     "out_dir": {"out"},
 }
@@ -474,6 +507,7 @@ class TestConvergenceCommand:
             "--out", str(tmp_path),
         )
         assert code == 2
+        assert not list(tmp_path.iterdir())
 
     def test_several_schemes_rejected(self, tmp_path):
         # Only the first label used to run, and the command exited 0.
@@ -482,7 +516,7 @@ class TestConvergenceCommand:
             "--reference-grid", "32", "--t-final", "0.5", "--out", str(tmp_path),
         )
         assert code == 2
-        assert not (tmp_path / "convergence.csv").exists()
+        assert not list(tmp_path.iterdir())
 
     def test_non_nested_grids_rejected(self, tmp_path):
         code = run_cli(
@@ -490,6 +524,7 @@ class TestConvergenceCommand:
             "--out", str(tmp_path),
         )
         assert code == 2
+        assert not list(tmp_path.iterdir())
 
 
 class TestBenchCommand:
@@ -535,6 +570,7 @@ class TestExitCodes:
             "conserve", "--grid", "8", "--scheme", "scheme2", *flags, "--out", str(tmp_path)
         )
         assert code == 2
+        assert not list(tmp_path.iterdir())
 
     def test_numerical_failure_exits_one(self, tmp_path):
         # dt far beyond the stability limit of the sine benchmark.
