@@ -9,15 +9,11 @@ to check conservation, convergence, reversibility, and per-step cost.
 
 from .core import (
     State,
-    dvd_scheme1,
-    dvd_scheme2,
-    dvd_scheme3,
     energy_half_scheme2,
     energy_half_scheme3,
     energy_scheme1,
     gamma_apply,
     linear_momenta,
-    semi_discrete_rhs,
 )
 from .diagnostics import (
     RunRecord,
@@ -42,15 +38,9 @@ from .grid import (
     d1x,
     d1y,
     d2,
-    dminus_x,
-    dminus_y,
-    dplus_x,
-    dplus_y,
-    hadamard,
     inner,
     norm,
     solve_q,
-    solve_q_dense,
 )
 from .profiles import (
     Arc,
@@ -68,7 +58,6 @@ from .steppers import (
     SchemeKind,
     StepResult,
     Tolerance,
-    bootstrap_first_step,
     integrate,
     solvability_dt_bound,
     step_rk4,

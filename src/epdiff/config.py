@@ -295,7 +295,11 @@ def build_config(command: str, flags: dict[str, object]) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"{key} {exc}, got {text!r}") from None
 
-    schemes = tuple(parse_scheme_label(label) for label in values.pop("scheme"))
+    labels = values.pop("scheme")
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ConfigError(f"scheme {label!r} is selected more than once")
+    schemes = tuple(parse_scheme_label(label) for label in labels)
     front = given.keys() & {"sigma", "amplitude", "gaussian_cross_section"}
     if values["profile"] == "sine" and front:
         raise ConfigError(f"the sine profile takes no {', '.join(sorted(front))}")

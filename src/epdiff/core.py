@@ -29,10 +29,6 @@ from .grid import (
 __all__ = [
     "State",
     "gamma_apply",
-    "dvd_scheme1",
-    "dvd_scheme2",
-    "dvd_scheme3",
-    "semi_discrete_rhs",
     "energy_scheme1",
     "energy_half_scheme2",
     "energy_half_scheme3",
@@ -116,28 +112,6 @@ def gamma_apply(m: FieldPair, v: FieldPair) -> FieldPair:
     """
     _check_same_grid(m, v)
     return FieldPair._wrap(m.grid, _gamma_arrays(m.values, v.values, m.grid))
-
-
-def dvd_scheme1(u_n: FieldPair, u_np1: FieldPair) -> FieldPair:
-    """Variational derivative of the pointwise energy: the two-level average."""
-    _check_same_grid(u_n, u_np1)
-    return 0.5 * (u_n + u_np1)
-
-
-def dvd_scheme2(u_n: FieldPair) -> FieldPair:
-    """Variational derivative of the cross-averaged energy: the middle level."""
-    return u_n
-
-
-def dvd_scheme3(u_nm1: FieldPair, u_np1: FieldPair) -> FieldPair:
-    """Variational derivative of the same-time-averaged energy."""
-    _check_same_grid(u_nm1, u_np1)
-    return 0.5 * (u_nm1 + u_np1)
-
-
-def semi_discrete_rhs(s: State) -> FieldPair:
-    """dM/dt of the spatially discretized system: -gamma_apply(m, u)."""
-    return -gamma_apply(s.m, s.u)
 
 
 def energy_scheme1(s: State) -> float:

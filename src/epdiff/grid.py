@@ -6,10 +6,9 @@ indexed ``[j, k]`` with ``k`` the x-index and ``j`` the y-index, so the flat
 row-major buffer runs with k fastest; a two-component field stores its
 components as one (2, J, K) stack.
 
-The module provides the centered/one-sided difference stencils, the 5-point
-Laplacian, the grid inner product and norm, the Hadamard product, and the
-screened-Laplacian operator ``Q = 1 - alpha^2 * Lap`` together with its
-inverse (spectral, with a dense fallback for cross-validation).
+The module provides the centered difference stencils, the 5-point
+Laplacian, the grid inner product and norm, and the screened-Laplacian
+operator ``Q = 1 - alpha^2 * Lap`` together with its spectral inverse.
 """
 
 from __future__ import annotations
@@ -29,25 +28,16 @@ __all__ = [
     "FieldPair",
     "inner",
     "norm",
-    "hadamard",
     "d1x",
     "d1y",
     "d2",
-    "dplus_x",
-    "dminus_x",
-    "dplus_y",
-    "dminus_y",
     "apply_q",
     "solve_q",
-    "solve_q_dense",
     "QSOLVE_RTOL",
 ]
 
 # Relative residual the Helmholtz solve must reach before it is accepted.
 QSOLVE_RTOL = 1e-12
-
-# Dense factorizations beyond this point count are refused (memory guard).
-_DENSE_MAX_POINTS = 64 * 64
 
 
 @dataclass(frozen=True)
@@ -234,12 +224,6 @@ def norm(w) -> float:
     return float(np.hypot.reduce(np.sqrt(_layer_inners(w, w)), axis=None))
 
 
-def hadamard(v: ScalarField, w: ScalarField) -> ScalarField:
-    """Pointwise product (v*w)_{k,j} = v_{k,j} w_{k,j}."""
-    _check_same_grid(v, w)
-    return ScalarField._wrap(v.grid, v.values * w.values)
-
-
 # ---------------------------------------------------------------------------
 # Stencil kernels on raw arrays whose trailing axes are (J, K): the last axis
 # is x (index k), the second-to-last is y (index j).  Leading axes, if any,
@@ -308,14 +292,6 @@ def _d1_arr(
     return out
 
 
-def _dplus_arr(a: np.ndarray, axis: int, h: float) -> np.ndarray:
-    return (np.roll(a, -1, axis) - a) * (1.0 / h)
-
-
-def _dminus_arr(a: np.ndarray, axis: int, h: float) -> np.ndarray:
-    return (a - np.roll(a, 1, axis)) * (1.0 / h)
-
-
 def _d2_arr(
     a: np.ndarray, dx: float, dy: float, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -354,22 +330,6 @@ def d1y(f: ScalarField) -> ScalarField:
 def d2(f: ScalarField) -> ScalarField:
     """5-point periodic Laplacian."""
     return ScalarField._wrap(f.grid, _d2_arr(f.values, f.grid.dx, f.grid.dy))
-
-
-def dplus_x(f: ScalarField) -> ScalarField:
-    return ScalarField._wrap(f.grid, _dplus_arr(f.values, -1, f.grid.dx))
-
-
-def dminus_x(f: ScalarField) -> ScalarField:
-    return ScalarField._wrap(f.grid, _dminus_arr(f.values, -1, f.grid.dx))
-
-
-def dplus_y(f: ScalarField) -> ScalarField:
-    return ScalarField._wrap(f.grid, _dplus_arr(f.values, -2, f.grid.dy))
-
-
-def dminus_y(f: ScalarField) -> ScalarField:
-    return ScalarField._wrap(f.grid, _dminus_arr(f.values, -2, f.grid.dy))
 
 
 # ---------------------------------------------------------------------------
@@ -507,40 +467,3 @@ def solve_q(m):
     u, _ = _solve_q_checked(m.values, m.grid)
     return m._wrap(m.grid, u)
 
-
-def _circulant_shift(n: int, s: int) -> np.ndarray:
-    return np.roll(np.eye(n), s, axis=1)
-
-
-@lru_cache(maxsize=8)
-def _dense_q_lu(K: int, J: int, alpha: float):
-    # scipy.linalg is imported here, not at module level: only this
-    # cross-validation path needs it, and it slows `import epdiff`.
-    import scipy.linalg
-
-    if K * J > _DENSE_MAX_POINTS:
-        raise ValueError(f"dense Q factorization refused for {K}x{J} grid")
-    dx = 2.0 / K
-    dy = 2.0 / J
-    d2x = (_circulant_shift(K, 1) + _circulant_shift(K, -1) - 2.0 * np.eye(K)) / dx**2
-    d2y = (_circulant_shift(J, 1) + _circulant_shift(J, -1) - 2.0 * np.eye(J)) / dy**2
-    # Flattened index is j*K + k, so the x-stencil acts blockwise.
-    lap = np.kron(np.eye(J), d2x) + np.kron(d2y, np.eye(K))
-    q = np.eye(K * J) - alpha**2 * lap
-    return scipy.linalg.lu_factor(q)
-
-
-def solve_q_dense(m):
-    """Invert Q through a dense LU factorization (small grids only).
-
-    Exists to cross-validate the spectral solve; refuses grids above
-    64x64 points.  The components of a pair are solved one by one, since a
-    two-column solve rounds differently.
-    """
-    import scipy.linalg
-
-    grid = m.grid
-    lu = _dense_q_lu(grid.K, grid.J, grid.alpha)
-    layers = m.values.reshape(-1, grid.K * grid.J)
-    u = np.array([scipy.linalg.lu_solve(lu, b) for b in layers])
-    return m._wrap(grid, u.reshape(m.values.shape))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from pathlib import Path
 from typing import Callable
 
@@ -167,6 +166,8 @@ def cmd_conserve(cfg: ExperimentConfig) -> int:
 def cmd_convergence(cfg: ExperimentConfig) -> int:
     """Self-convergence with dt = dx over nested grids against a fine reference."""
     sizes = [k for k, j in cfg.grids]
+    if len(sizes) < 2:
+        raise ConfigError(f"convergence needs at least two grids, got {len(sizes)}")
     for k, j in cfg.grids:
         if k != j:
             raise ConfigError("convergence grids must be square (K = J)")

@@ -47,7 +47,6 @@ __all__ = [
     "step_scheme2",
     "step_scheme3",
     "step_rk4",
-    "bootstrap_first_step",
     "solvability_dt_bound",
     "integrate",
 ]
@@ -346,11 +345,6 @@ def _bootstrap_result(s_0: State, dt: float, cfg: SchemeConfig) -> StepResult:
         return step_rk4(s_0, dt)
     pc_cfg = replace(cfg, corrector=DEFAULT_CORRECTOR)
     return step_scheme1_pc(None, s_0, dt, pc_cfg)
-
-
-def bootstrap_first_step(s_0: State, dt: float, cfg: SchemeConfig) -> State:
-    """Produce the second time level for the two-step schemes."""
-    return _bootstrap_result(s_0, dt, cfg).state
 
 
 def solvability_dt_bound(m_n: FieldPair) -> float:

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -19,3 +21,50 @@ def random_pair(grid: GridSpec, rng) -> FieldPair:
 
 def random_state(grid: GridSpec, rng, t: float = 0.0) -> State:
     return State.from_velocity(random_pair(grid, rng), t=t)
+
+
+# Reference operators that no run uses: the one-sided differences behind the
+# summation-by-parts identities, and a dense LU solve of Q that
+# cross-validates the spectral one.
+def dplus_x(f: ScalarField) -> ScalarField:
+    return ScalarField(f.grid, (np.roll(f.values, -1, -1) - f.values) * (1.0 / f.grid.dx))
+
+
+def dminus_x(f: ScalarField) -> ScalarField:
+    return ScalarField(f.grid, (f.values - np.roll(f.values, 1, -1)) * (1.0 / f.grid.dx))
+
+
+def dplus_y(f: ScalarField) -> ScalarField:
+    return ScalarField(f.grid, (np.roll(f.values, -1, -2) - f.values) * (1.0 / f.grid.dy))
+
+
+def dminus_y(f: ScalarField) -> ScalarField:
+    return ScalarField(f.grid, (f.values - np.roll(f.values, 1, -2)) * (1.0 / f.grid.dy))
+
+
+@lru_cache(maxsize=8)
+def _dense_q_lu(K: int, J: int, alpha: float):
+    import scipy.linalg
+
+    # A 128x128 grid would factor a 16384^2 matrix.
+    if K * J > 64 * 64:
+        raise ValueError(f"dense Q factorization refused for {K}x{J} grid")
+
+    def d2_matrix(n: int, h: float) -> np.ndarray:
+        eye = np.eye(n)
+        return (np.roll(eye, 1, axis=1) + np.roll(eye, -1, axis=1) - 2.0 * eye) / h**2
+
+    # Flattened index is j*K + k, so the x-stencil acts blockwise.
+    lap = np.kron(np.eye(J), d2_matrix(K, 2.0 / K)) + np.kron(d2_matrix(J, 2.0 / J), np.eye(K))
+    return scipy.linalg.lu_factor(np.eye(K * J) - alpha**2 * lap)
+
+
+def solve_q_dense(m):
+    """Invert Q of a ScalarField or FieldPair by dense LU, grids up to 64x64
+    points; a pair is solved layer by layer."""
+    import scipy.linalg
+
+    g = m.grid
+    lu = _dense_q_lu(g.K, g.J, g.alpha)
+    u = [scipy.linalg.lu_solve(lu, b) for b in m.values.reshape(-1, g.K * g.J)]
+    return m._wrap(g, np.array(u).reshape(m.values.shape))

@@ -1,4 +1,4 @@
-"""Transport bracket, discrete energies, variational derivatives, and states."""
+"""Transport bracket, discrete energies, and states."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,6 @@ from epdiff import (
     GridSpec,
     ScalarField,
     State,
-    apply_q,
-    dvd_scheme1,
-    dvd_scheme2,
-    dvd_scheme3,
     energy_half_scheme2,
     energy_half_scheme3,
     energy_scheme1,
@@ -20,7 +16,6 @@ from epdiff import (
     inner,
     linear_momenta,
     norm,
-    semi_discrete_rhs,
     sine_profile,
 )
 from conftest import random_pair, random_state
@@ -122,51 +117,24 @@ class TestGammaApply:
             )
 
 
-class TestVariationalDerivatives:
-    def test_scheme1_average(self, rng):
-        g = GridSpec(8, 8, 1.0)
-        u = random_pair(g, rng)
-        w = random_pair(g, rng)
-        assert np.array_equal(dvd_scheme1(u, u).c1.values, u.c1.values)
-        assert np.all(dvd_scheme1(u, -1.0 * u).c1.values == 0.0)
-        out = dvd_scheme1(u, w)
-        for j in range(g.J):
-            for k in range(g.K):
-                assert out.c1.values[j, k] == pytest.approx(
-                    0.5 * (u.c1.values[j, k] + w.c1.values[j, k]), rel=1e-15
-                )
-
-    def test_scheme2_identity(self, rng):
-        g = GridSpec(6, 6, 1.0)
-        for u in (FieldPair.zeros(g), constant_pair(g, 1.0), random_pair(g, rng)):
-            assert dvd_scheme2(u) is u
-
-    def test_scheme3_average(self, rng):
-        g = GridSpec(6, 6, 1.0)
-        u = random_pair(g, rng)
-        w = random_pair(g, rng)
-        expected = 0.5 * (u.c2.values + w.c2.values)
-        assert np.allclose(dvd_scheme3(u, w).c2.values, expected, atol=1e-15)
-
-
 class TestSemiDiscreteRhs:
     def test_constant_state_has_zero_tendency(self):
         g = GridSpec(8, 8, 1.0)
         s = State.from_velocity(constant_pair(g, 1.7))
-        out = semi_discrete_rhs(s)
+        out = -gamma_apply(s.m, s.u)
         assert np.all(out.c1.values == 0.0)
         assert np.all(out.c2.values == 0.0)
 
     def test_sine_profile_keeps_second_component_zero(self):
         s = sine_profile(GridSpec(20, 20, 1.0))
-        out = semi_discrete_rhs(s)
+        out = -gamma_apply(s.m, s.u)
         assert np.all(out.c2.values == 0.0)
 
     def test_energy_flux_vanishes(self, rng):
         g = GridSpec(12, 12, 0.8)
         for _ in range(25):
             s = random_state(g, rng)
-            flux = inner(s.u, semi_discrete_rhs(s))
+            flux = inner(s.u, -gamma_apply(s.m, s.u))
             scale = norm(s.m) * norm(s.u) ** 2 / np.sqrt(g.cell_area)
             assert abs(flux) <= 1e-12 * scale
 
@@ -249,7 +217,7 @@ class TestEnergyDifferenceIdentities:
             a = random_state(g, rng)
             b = random_state(g, rng)
             lhs = energy_scheme1(b) - energy_scheme1(a)
-            rhs = inner(dvd_scheme1(a.u, b.u), b.m - a.m)
+            rhs = inner(0.5 * (a.u + b.u), b.m - a.m)
             scale = abs(energy_scheme1(a)) + abs(energy_scheme1(b))
             assert abs(lhs - rhs) <= 1e-11 * scale
 
@@ -260,7 +228,7 @@ class TestEnergyDifferenceIdentities:
         for _ in range(30):
             a, b, c = (random_state(g, rng) for _ in range(3))
             lhs = energy_half_scheme2(b, c) - energy_half_scheme2(a, b)
-            rhs = inner(dvd_scheme2(b.u), 0.5 * (c.m - a.m))
+            rhs = inner(b.u, 0.5 * (c.m - a.m))
             scale = abs(lhs) + abs(energy_half_scheme2(a, b)) + abs(energy_half_scheme2(b, c))
             assert abs(lhs - rhs) <= 1e-11 * scale
 
@@ -269,6 +237,6 @@ class TestEnergyDifferenceIdentities:
         for _ in range(30):
             a, b, c = (random_state(g, rng) for _ in range(3))
             lhs = energy_half_scheme3(b, c) - energy_half_scheme3(a, b)
-            rhs = inner(dvd_scheme3(a.u, c.u), 0.5 * (c.m - a.m))
+            rhs = inner(0.5 * (a.u + c.u), 0.5 * (c.m - a.m))
             scale = abs(lhs) + abs(energy_half_scheme3(a, b)) + abs(energy_half_scheme3(b, c))
             assert abs(lhs - rhs) <= 1e-11 * scale

@@ -16,16 +16,10 @@ from epdiff import (
     d1x,
     d1y,
     d2,
-    dminus_x,
-    dminus_y,
-    dplus_x,
-    dplus_y,
     gamma_apply,
-    hadamard,
     inner,
     norm,
     solve_q,
-    solve_q_dense,
 )
 from epdiff.core import _gamma_arrays
 from epdiff.grid import (
@@ -37,7 +31,7 @@ from epdiff.grid import (
     _solve_q_stack_arr,
 )
 from epdiff.steppers import _pair_norm
-from conftest import random_field, random_pair
+from conftest import dminus_x, dminus_y, dplus_x, dplus_y, random_field, random_pair, solve_q_dense
 
 # The public constructors that take caller arrays, each fed from a (2, J, K)
 # array.
@@ -156,12 +150,16 @@ def test_pair_operators_equal_componentwise(k, j, rng):
     p, q = random_pair(g, rng), random_pair(g, rng)
     assert inner(p, q) == inner(p.c1, q.c1) + inner(p.c2, q.c2)
     assert norm(p) == np.hypot(norm(p.c1), norm(p.c2))
-    for op in (apply_q, solve_q, solve_q_dense):
+    for op in (apply_q, solve_q):
         out = op(p)
         assert np.array_equal(out.c1.values, op(p.c1).values)
         assert np.array_equal(out.c2.values, op(p.c2).values)
     # The bracket term by term, as its docstring spells it.
     (m1, m2), (v1, v2) = (p.c1, p.c2), (q.c1, q.c2)
+
+    def hadamard(v, w):
+        return ScalarField(g, v.values * w.values)
+
     c1 = (hadamard(m1, d1x(v1)) + hadamard(m2, d1x(v2))
           + d1x(hadamard(m1, v1)) + d1y(hadamard(m1, v2)))
     c2 = (hadamard(m1, d1y(v1)) + hadamard(m2, d1y(v2))
@@ -172,12 +170,6 @@ def test_pair_operators_equal_componentwise(k, j, rng):
 
 
 class TestHadamard:
-    def test_ones_is_identity(self, rng):
-        g = GridSpec(8, 8, 1.0)
-        v = random_field(g, rng)
-        assert np.array_equal(hadamard(v, ScalarField.full(g, 1.0)).values, v.values)
-        assert np.all(hadamard(v, ScalarField.zeros(g)).values == 0.0)
-
     def test_norm_inequality(self, rng):
         # ||v.w|| <= ||v|| ||w|| / sqrt(dx dy), checked on many random pairs.
         g = GridSpec(8, 8, 1.0)
@@ -185,7 +177,8 @@ class TestHadamard:
         for _ in range(100):
             v = random_field(g, rng)
             w = random_field(g, rng)
-            assert norm(hadamard(v, w)) <= bound_factor * norm(v) * norm(w) * (1 + 1e-14)
+            vw = ScalarField(g, v.values * w.values)
+            assert norm(vw) <= bound_factor * norm(v) * norm(w) * (1 + 1e-14)
 
 
 class TestFirstDifferences:
@@ -257,12 +250,6 @@ class TestLaplacian:
 
 
 class TestOneSidedDifferences:
-    def test_constant_maps_to_zero(self):
-        g = GridSpec(6, 8, 1.0)
-        c = ScalarField.full(g, 2.0)
-        for op in (dplus_x, dminus_x, dplus_y, dminus_y):
-            assert np.all(op(c).values == 0.0)
-
     def test_composition_gives_second_difference(self, rng):
         g = GridSpec(8, 8, 1.0)
         f = random_field(g, rng)
@@ -412,7 +399,7 @@ class TestPeriodicity:
         g = GridSpec(8, 6, 0.8)
         f = random_field(g, rng)
         shifted = ScalarField(g, np.roll(f.values, (2, 3), axis=(0, 1)))
-        for op in (d1x, d1y, d2, dplus_x, dminus_x, dplus_y, dminus_y, apply_q):
+        for op in (d1x, d1y, d2, apply_q):
             direct = op(shifted).values
             rolled = np.roll(op(f).values, (2, 3), axis=(0, 1))
             assert np.array_equal(direct, rolled)

@@ -37,10 +37,22 @@ class TestSchemeLabels:
         assert parse_scheme_label("scheme3").kind is SchemeKind.SCHEME3
         assert parse_scheme_label("rk4").kind is SchemeKind.RK4
 
-    @pytest.mark.parametrize("bad", ["scheme9", "scheme1-fixed=x", "scheme1-fixed=0", ""])
-    def test_bad_labels(self, bad):
+    @pytest.mark.parametrize(
+        "bad",
+        ["scheme9", "scheme1-fixed=x", "scheme1-fixed=0", "", "scheme2,scheme2",
+         "scheme1, scheme1"],
+    )
+    def test_bad_labels(self, tmp_path, bad):
         with pytest.raises(ConfigError):
             parse_scheme_label(bad)
+        # A repeated label would run twice, the second run overwriting the
+        # first one's files.  Flag and file forms both name the label.
+        cfg_file = tmp_path / "labels.cfg"
+        cfg_file.write_text(f"scheme = {bad}\n")
+        label = bad.split(",")[-1].strip()
+        for flags in ({"scheme": bad}, {"config": cfg_file}):
+            with pytest.raises(ConfigError, match=re.escape(label) or None):
+                build_config("conserve", flags)
 
 
 class TestConfigFile:
@@ -517,6 +529,17 @@ class TestConvergenceCommand:
         )
         assert code == 2
         assert not list(tmp_path.iterdir())
+
+    def test_single_grid_rejected_before_any_run(self, tmp_path, monkeypatch):
+        # One level gives one point, which no slope fits: refuse it before
+        # integrating the reference and that level.
+        calls = []
+        monkeypatch.setattr("epdiff.harness.convergence_study", lambda *a: calls.append(a))
+        code = run_cli(
+            "convergence", "--grid", "16", "--reference-grid", "32", "--out", str(tmp_path)
+        )
+        assert code == 2
+        assert not list(tmp_path.iterdir()) and not calls
 
     def test_non_nested_grids_rejected(self, tmp_path):
         code = run_cli(

@@ -1,5 +1,6 @@
 """Time steppers: conservation structure, solver validation, and the driver."""
 
+import ast
 import math
 import subprocess
 import sys
@@ -23,14 +24,12 @@ from epdiff import (
     State,
     Tolerance,
     apply_q,
-    bootstrap_first_step,
     energy_scheme1,
     gamma_apply,
     integrate,
     norm,
     sine_profile,
     solvability_dt_bound,
-    solve_q,
     step_rk4,
     step_scheme1_pc,
     step_scheme2,
@@ -116,7 +115,7 @@ class TestScheme2:
         g = GridSpec(20, 20, 1.0)
         dt = g.dx**2
         s0 = sine_profile(g)
-        s1 = bootstrap_first_step(s0, dt, SchemeConfig(SchemeKind.SCHEME2, dt))
+        s1 = integrate(s0, SchemeConfig(SchemeKind.SCHEME2, dt), s0.t + dt).states_tail[-1]
         res = step_scheme2(s0, s1, dt)
         assert np.abs(res.state.u.c2.values).max() == 0.0
 
@@ -258,9 +257,8 @@ class TestScheme3:
 
 
     def test_package_import_leaves_scipy_sparse_and_linalg_out(self):
-        # scheme3 solves on its own, the Q-solve runs on numpy.fft, and only
-        # the dense cross-validation solve imports scipy.linalg, when it is
-        # called: importing the package and its CLI imports no scipy at all.
+        # scheme3 solves on its own and the Q-solve runs on numpy.fft:
+        # importing the package and its CLI imports no scipy at all.
         import epdiff
 
         code = (
@@ -273,6 +271,35 @@ class TestScheme3:
             [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[False, False, False, False]"
+
+
+def test_package_sources_import_no_scipy_and_use_every_import():
+    # numpy is the one runtime dependency, and an import that nothing reads
+    # is dead code.  A name imported for type checks only is read in a
+    # string annotation.
+    import epdiff
+
+    for path in sorted(Path(epdiff.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        modules, bound = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update(alias.name for alias in node.names)
+                bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                modules.add(node.module or "")
+                bound.update(alias.asname or alias.name for alias in node.names)
+        assert "scipy" not in {m.split(".")[0] for m in modules}, path.name
+        nodes = list(ast.walk(tree))
+        for node in ast.walk(tree):
+            note = getattr(node, "annotation", None) or getattr(node, "returns", None)
+            for c in ast.walk(note) if note else ():
+                if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                    nodes += ast.walk(ast.parse(c.value, mode="eval"))
+        used = {n.id for n in nodes if isinstance(n, ast.Name)}
+        assert bound <= used, f"{path.name} never reads {sorted(bound - used)}"
 
 
 class TestScheme1PredictorCorrector:
@@ -346,7 +373,7 @@ class TestScheme1PredictorCorrector:
         s0 = sine_profile(g)
         dt = 0.9 * solvability_dt_bound(s0.m)
         cfg = pc_config(dt, Tolerance(1e-14, 200))
-        s1 = bootstrap_first_step(s0, dt, cfg)
+        s1 = integrate(s0, cfg, s0.t + dt).states_tail[-1]
         prev, cur = s0, s1
         for _ in range(25):
             res = step_scheme1_pc(prev, cur, dt, cfg)
@@ -376,14 +403,14 @@ class TestBootstrap:
         g = GridSpec(8, 8, 1.0)
         s0 = constant_state(g)
         for mode in (BootstrapKind.RK4, BootstrapKind.SCHEME1_FIXED_POINT):
-            out = bootstrap_first_step(s0, 0.01, pc_config(0.01, bootstrap=mode))
+            out = integrate(s0, pc_config(0.01, bootstrap=mode), s0.t + 0.01).states_tail[-1]
             assert norm(out.u - s0.u) <= 1e-13 * norm(s0.u)
 
     def test_fixed_point_bootstrap_conserves_energy(self):
         g = GridSpec(20, 20, 1.0)
         s0 = sine_profile(g)
         cfg = pc_config(g.dx**2, bootstrap=BootstrapKind.SCHEME1_FIXED_POINT)
-        s1 = bootstrap_first_step(s0, g.dx**2, cfg)
+        s1 = integrate(s0, cfg, s0.t + g.dx**2).states_tail[-1]
         assert energy_scheme1(s1) == pytest.approx(energy_scheme1(s0), rel=1e-12)
 
     def test_methods_agree_to_third_order(self):
@@ -392,11 +419,11 @@ class TestBootstrap:
         dts = [4e-4, 2e-4, 1e-4]
         diffs = []
         for dt in dts:
-            rk = bootstrap_first_step(s0, dt, pc_config(dt, bootstrap=BootstrapKind.RK4))
-            fp = bootstrap_first_step(
-                s0, dt, pc_config(dt, bootstrap=BootstrapKind.SCHEME1_FIXED_POINT)
+            rk = integrate(s0, pc_config(dt, bootstrap=BootstrapKind.RK4), s0.t + dt)
+            fp = integrate(
+                s0, pc_config(dt, bootstrap=BootstrapKind.SCHEME1_FIXED_POINT), s0.t + dt
             )
-            diffs.append(norm(rk.u - fp.u))
+            diffs.append(norm(rk.states_tail[-1].u - fp.states_tail[-1].u))
         slope = np.polyfit(np.log(dts), np.log(diffs), 1)[0]
         assert slope >= 2.9
 
