@@ -307,6 +307,9 @@ def build_config(command: str, flags: dict[str, object]) -> ExperimentConfig:
         raise ConfigError("the rk4 scheme takes no bootstrap")
     if command in ("run", "conserve", "reversibility") and len(values["grid"]) > 1:
         raise ConfigError(f"{command} takes one grid, got {len(values['grid'])}")
+    for k, j in values["grid"]:
+        if values["grid"].count((k, j)) > 1:
+            raise ConfigError(f"grid {k}x{j} is selected more than once")
     if values["alpha"] is None:  # 1 for sine, else the sigma of the default front
         profile = values["profile"]
         values["alpha"] = 1.0 if profile == "sine" else default_spec(FrontKind(profile)).sigma

@@ -136,5 +136,5 @@ def energy_half_scheme3(s_n: State, s_np1: State) -> float:
 
 def linear_momenta(s: State) -> tuple[float, float]:
     """(sum(u1) dx dy, sum(u2) dx dy)."""
-    mx, my = np.sum(s.u.values, axis=(-2, -1)) * s.grid.cell_area
+    mx, my = np.add.reduce(s.u.values, axis=(-2, -1)) * s.grid.cell_area
     return float(mx), float(my)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.fft import _pocketfft_umath
 
 from .errors import GridMismatchError, NumericalFailureError
 
@@ -206,7 +207,8 @@ def _layer_inners(v, w) -> np.ndarray:
     """sum(v*w)*dx*dy per (J, K) layer: a 0-d value for two ScalarFields,
     one value per component for two FieldPairs."""
     _check_same_grid(v, w)
-    return np.sum(v.values * w.values, axis=(-2, -1)) * v.grid.cell_area
+    # np.sum's arithmetic without its Python wrapper.
+    return np.add.reduce(v.values * w.values, axis=(-2, -1)) * v.grid.cell_area
 
 
 def inner(v, w) -> float:
@@ -215,7 +217,7 @@ def inner(v, w) -> float:
     Accepts two :class:`ScalarField` or two :class:`FieldPair` (in which case
     both components are summed).
     """
-    return float(np.sum(_layer_inners(v, w)))
+    return float(np.add.reduce(_layer_inners(v, w), axis=None))
 
 
 def norm(w) -> float:
@@ -336,11 +338,14 @@ def d2(f: ScalarField) -> ScalarField:
 # Screened Laplacian Q = 1 - alpha^2 Lap and its inverse.
 
 @lru_cache(maxsize=32)
-def _helmholtz_symbol(K: int, J: int, alpha: float) -> np.ndarray:
-    """Eigenvalues of Q in the rfft2 basis, shape (J, K//2 + 1).
+def _helmholtz_symbol(K: int, J: int, alpha: float, layers: int) -> np.ndarray:
+    """Eigenvalues of Q in the rfft2 basis, stacked for the spectrum of a
+    ``layers``-layer Q-solve: shape (layers*J + layers, K//2 + 1).
 
     lambda_{k,j} = 1 + (4 a^2/dx^2) sin^2(pi k/K) + (4 a^2/dy^2) sin^2(pi j/J),
-    all >= 1, so the pointwise divide is unconditionally safe.  They are
+    all >= 1, so the pointwise divide is unconditionally safe.  The (J,
+    K//2 + 1) block of lambda repeats once per layer, and its k_y = 0 row,
+    the symbol of the y-means, follows once per layer.  The entries are
     stored as complex128 with zero imaginary part: dividing a spectrum by
     them in place then needs no casting buffer, and since the cast is exact
     the quotient has the bits of a divide by the real symbol.
@@ -350,9 +355,10 @@ def _helmholtz_symbol(K: int, J: int, alpha: float) -> np.ndarray:
     sx = np.sin(np.pi * np.arange(K // 2 + 1) / K) ** 2
     sy = np.sin(np.pi * np.arange(J) / J) ** 2
     lam = 1.0 + (4.0 * alpha**2 / dx**2) * sx[None, :] + (4.0 * alpha**2 / dy**2) * sy[:, None]
-    lam = lam.astype(np.complex128)
-    lam.setflags(write=False)
-    return lam
+    stack = np.concatenate((np.tile(lam, (layers, 1)), np.tile(lam[:1], (layers, 1))))
+    stack = stack.astype(np.complex128)
+    stack.setflags(write=False)
+    return stack
 
 
 def _solve_q_stack_arr(a: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -365,31 +371,41 @@ def _solve_q_stack_arr(a: np.ndarray, grid: GridSpec) -> np.ndarray:
 
     The transforms are numpy's pocketfft in the order of a real 2D
     transform pair: rfft along x then fft along y, and back ifft along y
-    then irfft along x.  Both inverse passes run unscaled
-    (``norm="forward"``), and the result is scaled by 1/(J K) once at the
-    end, which is where pocketfft's own 2D inverse (``scipy.fft.irfft2``)
-    applies its single scale factor; scaling each pass by 1/J and 1/K would
-    round differently.  So the bits are those of a solve through
-    ``scipy.fft``'s ``rfft2`` and ``irfft2``.
+    then irfft along x.  Both inverse passes run unscaled (factor 1.0),
+    and the result is scaled by 1/(J K) once at the end, which is where
+    pocketfft's own 2D inverse (``scipy.fft.irfft2``) applies its single
+    scale factor; scaling each pass by 1/J and 1/K would round
+    differently.  So the bits are those of a solve through ``scipy.fft``'s
+    ``rfft2`` and ``irfft2``.
 
     The y-means ride along as extra rows: the L*J rows of the mean-free
     part and the L means (L layers) sit in one (L*J + L, K) buffer, so one
     rfft and one irfft along x serve both, and only the y-passes are
     restricted to the mean-free rows.  The means are scaled by 1/K, the
-    factor a default-norm 1D ``irfft`` applies.  Each numpy call costs
-    several microseconds of dispatch, more than a 20-point transform.
+    factor a default-norm 1D ``irfft`` applies.
+
+    At 20 points a transform costs less than the numpy calls around it, so
+    the solve makes as few as it can.  It calls pocketfft's gufuncs, the
+    call each ``numpy.fft`` wrapper ends in, with the same arguments (the
+    transform axis as ``axes``; the irfft length K from the shape of its
+    output) but without the wrapper's argument handling, which takes close
+    to half of a wrapped call at 20 points.  And it divides the whole
+    spectrum in one call, by the stacked symbol of the same shape, rather
+    than once per layer and once per mean row.
 
     Every intermediate lives in per-thread scratch and the returned array
     is the only one allocated.  Broadcasting operands go through plain
-    assignment or a loop over layers, since a broadcasting ufunc call
-    allocates an iterator buffer of up to 64 KiB.
+    assignment, since a broadcasting ufunc call allocates an iterator
+    buffer of up to 64 KiB.
     """
     J, K = grid.shape
     half = K // 2 + 1
     lead = a.shape[:-2]
     n_rest = a.size // K
     n_all = n_rest + n_rest // J
-    lam = _helmholtz_symbol(K, J, grid.alpha)
+    symbol = _helmholtz_symbol(K, J, grid.alpha, n_rest // J)
+    rfft = _pocketfft_umath.rfft_n_even if K % 2 == 0 else _pocketfft_umath.rfft_n_odd
+    y_axes = [(-2,), (), (-2,)]
 
     real = _scratch("qsolve_real", (n_all, K), grid_shape=grid.shape)
     spec = _scratch("qsolve_spec", (n_all, half), np.complex128, grid.shape)
@@ -402,14 +418,11 @@ def _solve_q_stack_arr(a: np.ndarray, grid: GridSpec) -> np.ndarray:
     np.true_divide(rows, J, out=rows)
     rest[...] = rows[..., None, :]
     np.subtract(a, rest, out=rest)
-    np.fft.rfft(real, axis=-1, out=spec)
-    np.fft.fft(spec_rest, axis=-2, out=spec_rest)
-    for layer in spec_rest.reshape(-1, J, half):
-        layer /= lam
-    for row in spec[n_rest:]:
-        row /= lam[0]
-    np.fft.ifft(spec_rest, axis=-2, norm="forward", out=spec_rest)
-    np.fft.irfft(spec, n=K, axis=-1, norm="forward", out=real)
+    rfft(real, 1.0, out=spec)
+    _pocketfft_umath.fft(spec_rest, 1.0, axes=y_axes, out=spec_rest)
+    spec /= symbol
+    _pocketfft_umath.ifft(spec_rest, 1.0, axes=y_axes, out=spec_rest)
+    _pocketfft_umath.irfft(spec, 1.0, out=real)
     u = np.multiply(rest, 1.0 / (J * K), out=np.empty(a.shape))
     rows *= 1.0 / K
     rest[...] = rows[..., None, :]

@@ -139,10 +139,15 @@ def _require_consecutive(s_nm1: State, s_n: State, dt: float):
         )
 
 
+_PAIR_NORM_BUFFER = "pair_norm_square"
+
+
 def _pair_norm(a: np.ndarray, area: float) -> float:
     """Grid norm of a (2, J, K) stack: the sum of the two layer sums of
-    squares, as ``np.sum(a * a, axis=(-2, -1)).sum()`` adds them."""
-    square = np.multiply(a, a, out=_scratch("pair_norm_square", a.shape))
+    squares, as ``np.sum(a * a, axis=(-2, -1)).sum()`` adds them.  The
+    squares go to the scratch buffer ``_PAIR_NORM_BUFFER``, which may hold
+    ``a`` itself."""
+    square = np.multiply(a, a, out=_scratch(_PAIR_NORM_BUFFER, a.shape))
     first, second = np.add.reduce(square, axis=(-2, -1)).tolist()
     return math.sqrt((first + second) * area)
 
@@ -293,7 +298,9 @@ def step_scheme1_pc(
 
     for _ in range(max_passes):
         mc = m_n - quarter_dt * _gamma_arrays(m_n + mp, u_n + up, grid)
-        delta = _pair_norm(mc - mp, area)
+        # The increment is squared in place, in the norm's own buffer.
+        increment = np.subtract(mc, mp, out=_scratch(_PAIR_NORM_BUFFER, mc.shape))
+        delta = _pair_norm(increment, area)
         increments.append(delta)
         mp = mc
         up = _solve_q_stack_arr(mp, grid)

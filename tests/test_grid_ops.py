@@ -21,7 +21,15 @@ from epdiff import (
     norm,
     solve_q,
 )
-from epdiff.core import _gamma_arrays
+from epdiff.core import (
+    State,
+    _gamma_arrays,
+    energy_half_scheme2,
+    energy_half_scheme3,
+    energy_scheme1,
+    linear_momenta,
+)
+from epdiff import grid as grid_module
 from epdiff.grid import (
     QSOLVE_RTOL,
     _apply_q_arr,
@@ -471,7 +479,7 @@ class TestKernels:
             assert np.array_equal(_gamma_arrays(a, v, g), roll_gamma(a, v, g))
 
     @pytest.mark.parametrize("alpha", [1.0, 0.1])
-    @pytest.mark.parametrize("lead", [(), (2,)], ids=["layer", "stack"])
+    @pytest.mark.parametrize("lead", [(), (2,), (3, 2)], ids=["layer", "stack", "stacks"])
     @pytest.mark.parametrize(
         "k,j", [(3, 3), (5, 7), (7, 5), (33, 17), (17, 33), (160, 160), (250, 250)]
     )
@@ -520,30 +528,46 @@ class TestKernels:
     def test_warm_q_solve_makes_four_transform_calls(self, lead, rng, monkeypatch):
         # At 20 points a transform costs less than the dispatch of the numpy
         # call around it.  One rfft and one irfft along x serve the y-means
-        # and the mean-free rows alike; fft and ifft along y run once.
-        g = GridSpec(20, 20, 1.0)
-        a = rng.standard_normal(lead + g.shape)
-        expected = _solve_q_stack_arr(a, g)
-        calls = []
-        for name in (
-            "fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
-            "fftn", "ifftn", "rfftn", "irfftn", "hfft", "ihfft",
-        ):
-            def spy(*args, transform=getattr(np.fft, name), name=name, **kwargs):
-                calls.append(name)
-                return transform(*args, **kwargs)
+        # and the mean-free rows alike; fft and ifft along y run once.  The
+        # calls go to pocketfft's gufuncs, past the numpy.fft wrappers; the
+        # rfft gufunc is the one for the parity of K.
+        gufuncs = grid_module._pocketfft_umath
 
-            monkeypatch.setattr(np.fft, name, spy)
-        u = _solve_q_stack_arr(a, g)
-        monkeypatch.undo()
-        assert sorted(calls) == ["fft", "ifft", "irfft", "rfft"]
-        assert np.array_equal(u, expected)
+        class Counting:
+            def __getattr__(self, name):
+                def count(*args, gufunc=getattr(gufuncs, name), **kwargs):
+                    calls.append(name)
+                    return gufunc(*args, **kwargs)
+
+                return count
+
+        for k, rfft in ((20, "rfft_n_even"), (21, "rfft_n_odd")):
+            g = GridSpec(k, 20, 1.0)
+            a = rng.standard_normal(lead + g.shape)
+            expected = _solve_q_stack_arr(a, g)
+            calls, wrapped = [], []
+            monkeypatch.setattr(grid_module, "_pocketfft_umath", Counting())
+            for name in (
+                "fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
+                "fftn", "ifftn", "rfftn", "irfftn", "hfft", "ihfft",
+            ):
+                def spy(*args, transform=getattr(np.fft, name), name=name, **kwargs):
+                    wrapped.append(name)
+                    return transform(*args, **kwargs)
+
+                monkeypatch.setattr(np.fft, name, spy)
+            u = _solve_q_stack_arr(a, g)
+            monkeypatch.undo()
+            assert sorted(calls) == sorted(["fft", "ifft", "irfft", rfft])
+            assert wrapped == []
+            assert np.array_equal(u, expected)
 
     def test_solve_check_and_corrector_norm_skip_reduction_wrappers(
         self, rng, monkeypatch
     ):
         # np.mean and np.sum cost microseconds of Python wrapper each; the
-        # kernels call the add.reduce ufunc directly, with the same bits.
+        # kernels and the invariants call the add.reduce ufunc directly, with
+        # the same bits.
         g = GridSpec(20, 20, 1.0)
         layer = rng.standard_normal(g.shape)
         stacks = list(rng.standard_normal((3, 2) + g.shape))
@@ -554,7 +578,25 @@ class TestKernels:
                 for a in [layer] + stacks
             ]
 
+        # The invariants of integrate's rows, on states and on the 0-d
+        # inner product of two ScalarFields.
+        states = [State.from_momentum(FieldPair.from_arrays(g, *m)) for m in stacks]
+        fields = [ScalarField(g, layer), ScalarField(g, stacks[0][0])]
+
+        def invariants():
+            return [
+                energy_scheme1(states[0]),
+                energy_half_scheme2(states[0], states[1]),
+                energy_half_scheme3(states[1], states[2]),
+                linear_momenta(states[2]),
+                inner(*fields),
+                inner(fields[0], fields[0]),
+                norm(fields[1]),
+                inner(states[0].m, states[1].u),
+            ]
+
         expected = solves()
+        expected_invariants = invariants()
         expected_norms = [
             math.sqrt(np.sum(a * a, axis=(-2, -1)).sum() * g.cell_area) for a in stacks
         ]
@@ -565,8 +607,10 @@ class TestKernels:
         monkeypatch.setattr(np, "mean", refuse)
         monkeypatch.setattr(np, "sum", refuse)
         got = solves()
+        got_invariants = invariants()
         norms = [_pair_norm(a, g.cell_area) for a in stacks]
         monkeypatch.undo()
+        assert got_invariants == expected_invariants
         for (u, checked), (u_ref, checked_ref) in zip(got, expected):
             assert np.array_equal(u, u_ref)
             assert np.array_equal(checked, checked_ref)

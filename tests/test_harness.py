@@ -55,6 +55,26 @@ class TestSchemeLabels:
                 build_config("conserve", flags)
 
 
+class TestRepeatedGrid:
+    @pytest.mark.parametrize(
+        "command,grid,runner",
+        [("convergence", "16,16", "convergence_study"), ("bench", "8,16x16,16", "_timed_steps")],
+    )
+    def test_rejected_before_any_run(self, tmp_path, monkeypatch, command, grid, runner):
+        # A repeated grid used to run twice and give two identical rows.
+        # Flag and file forms both name the grid.
+        cfg_file = tmp_path / "grids.cfg"
+        cfg_file.write_text(f"grid = {grid}\n")
+        for flags in ({"grid": grid}, {"config": cfg_file}):
+            with pytest.raises(ConfigError, match="16x16"):
+                build_config(command, flags)
+        calls = []
+        monkeypatch.setattr(f"epdiff.harness.{runner}", lambda *a, **k: calls.append(a))
+        out = tmp_path / "out"
+        assert run_cli(command, "--grid", grid, "--out", str(out)) == 2
+        assert not out.exists() and not calls
+
+
 class TestConfigFile:
     def test_parse_and_merge(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
