@@ -16,8 +16,6 @@ from .core import (
     linear_momenta,
 )
 from .diagnostics import (
-    RunRecord,
-    SeriesRow,
     convergence_study,
     invariant_stats,
     relative_l2_error,
@@ -54,8 +52,10 @@ from .profiles import (
 from .steppers import (
     BootstrapKind,
     FixedCount,
+    RunRecord,
     SchemeConfig,
     SchemeKind,
+    SeriesRow,
     StepResult,
     Tolerance,
     integrate,

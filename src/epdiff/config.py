@@ -176,7 +176,7 @@ OPTIONS = {opt.key: opt for opt in (
     }, "grid size K or KxJ; commands taking several grids accept a comma list"),
     Option("alpha", _positive, None,
            "smoothing length scale (default 1 for sine, else the sigma of the default front)"),
-    Option("dt", _positive, None, "explicit time step (wins over the rules below)", _STEPPED),
+    Option("dt", _positive, None, "explicit time step (exclusive with the rules below)", _STEPPED),
     Option("dt_dx2", _bool, "false", "set dt = dx^2", _STEPPED),
     Option("dt_dx_ratio", _positive, None, "set dt = RATIO*dx", _STEPPED),
     Option("t_final", _positive, _by_command("0.4", conserve="50", convergence="0.375"),
@@ -230,7 +230,7 @@ class ExperimentConfig:
     command: str
     schemes: tuple[SchemeSelection, ...]
     alpha: float
-    dt: float | None  # explicit dt wins over the rules below
+    dt: float | None  # at most one of dt, dt_dx2 and dt_dx_ratio is set
     dt_dx2: bool
     dt_dx_ratio: float | None
     t_final: float
@@ -295,6 +295,10 @@ def build_config(command: str, flags: dict[str, object]) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"{key} {exc}, got {text!r}") from None
 
+    rules = [rule for rule in ("dt", "dt_dx2", "dt_dx_ratio")
+             if values[rule] is not None and values[rule] is not False]
+    if len(rules) > 1:
+        raise ConfigError(f"give at most one time-step rule, got {', '.join(rules)}")
     labels = values.pop("scheme")
     for label in labels:
         if labels.count(label) > 1:

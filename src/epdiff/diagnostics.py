@@ -1,71 +1,23 @@
-"""Invariant time series, error norms, reversibility and convergence protocols."""
+"""Invariant statistics, error norms, reversibility and convergence protocols."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Sequence
+from dataclasses import replace
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import State
 from .grid import FieldPair, GridSpec, norm
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .steppers import SchemeConfig
+from .steppers import SchemeConfig, integrate
 
 __all__ = [
-    "SeriesRow",
-    "RunRecord",
     "invariant_stats",
     "relative_l2_error",
     "reversibility_test",
     "convergence_study",
     "fit_loglog_slope",
 ]
-
-
-@dataclass(frozen=True)
-class SeriesRow:
-    """One row of the invariant time series."""
-
-    step: int
-    t: float
-    energy: float
-    momentum_x: float
-    momentum_y: float
-    corrector_iters: int
-    wall_seconds: float
-
-
-@dataclass
-class RunRecord:
-    """Time series of invariants plus optional snapshots from one integration.
-
-    The energy column holds the scheme's own discrete energy: the pointwise
-    energy of the current state for one-step schemes, and the half-step energy
-    of the (previous, current) pair for the two-step schemes.  For the latter
-    the step-0 row repeats the first available half-step value, which is also
-    the baseline the conservation theory compares against, so the total
-    variation and sup deviation of the column are unaffected.
-    """
-
-    scheme: str
-    grid: GridSpec
-    dt: float
-    series: list[SeriesRow] = field(default_factory=list)
-    snapshots: list[tuple[float, FieldPair]] = field(default_factory=list)
-    # The last two states; used to seed reversals.
-    states_tail: tuple[State, ...] = ()
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.series])
-
-    def invariant_summary(self) -> dict:
-        out = {}
-        for name in ("energy", "momentum_x", "momentum_y"):
-            tv, sup = invariant_stats(self.column(name))
-            out[name] = {"total_variation": tv, "sup_deviation": sup}
-        return out
 
 
 def invariant_stats(series: Sequence[float]) -> tuple[float, float]:
@@ -86,7 +38,7 @@ def relative_l2_error(a: FieldPair, b: FieldPair) -> float:
     return norm(a - b) / nb
 
 
-def reversibility_test(initial: State, cfg: "SchemeConfig", t_final: float) -> float:
+def reversibility_test(initial: State, cfg: SchemeConfig, t_final: float) -> float:
     """Integrate forward, flip the sign of the final state, integrate the
     same span again, flip back, and return the relative miss against the
     initial velocity.
@@ -100,8 +52,6 @@ def reversibility_test(initial: State, cfg: "SchemeConfig", t_final: float) -> f
     dt), which measures nothing but accumulated round-off; the fresh restart
     is what makes the returned error scale with dt.
     """
-    from .steppers import integrate
-
     fwd = integrate(initial, cfg, t_final)
     span = t_final - initial.t
     back = integrate(fwd.states_tail[-1].negated(t=0.0), cfg, span)
@@ -121,7 +71,7 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> float:
 
 def convergence_study(
     profile: Callable[[GridSpec], State],
-    cfg_template: "SchemeConfig",
+    cfg_template: SchemeConfig,
     grid_sizes: Sequence[int],
     reference_size: int,
     t_final: float,
@@ -134,8 +84,6 @@ def convergence_study(
     index sampling (grids must be nested: every size has to divide the
     reference size).  Returns (h, relative L2 error) per level.
     """
-    from .steppers import integrate
-
     sizes = list(grid_sizes)
     if not sizes:
         raise ValueError("no grid sizes given")

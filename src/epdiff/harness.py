@@ -11,19 +11,21 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .config import ExperimentConfig, SchemeSelection
 from .core import State
-from .diagnostics import RunRecord, convergence_study, fit_loglog_slope, reversibility_test
+from .diagnostics import convergence_study, fit_loglog_slope, invariant_stats, reversibility_test
 from .errors import ConfigError, NumericalFailureError
 from .grid import GridSpec
 from .profiles import FrontKind, WaveFrontSpec, default_spec, sine_profile, wavefront_profile
 from .snapshots import write_snapshot
-from .steppers import integrate
+from .steppers import RunRecord, SeriesRow, integrate
 
 __all__ = [
     "cmd_conserve",
@@ -33,11 +35,16 @@ __all__ = [
     "run_command",
 ]
 
-INVARIANTS_HEADER = "step,t,energy,momentum_x,momentum_y,corrector_iters,wall_seconds"
+_SERIES_FIELDS = tuple(f.name for f in fields(SeriesRow))
+INVARIANTS_HEADER = ",".join(_SERIES_FIELDS)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _write_csv(path: Path, header: str, rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and one line per row: a float cell with 17 significant
+    digits, any other cell with ``str``."""
+    lines = [header]
+    lines += (",".join([f"{v:.17g}" if isinstance(v, float) else str(v) for v in r]) for r in rows)
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _front_spec(cfg: ExperimentConfig) -> WaveFrontSpec:
@@ -67,22 +74,7 @@ def _grid(cfg: ExperimentConfig) -> GridSpec:
 
 
 def write_invariants_csv(path: Path, record: RunRecord) -> None:
-    lines = [INVARIANTS_HEADER]
-    for r in record.series:
-        lines.append(
-            ",".join(
-                [
-                    str(r.step),
-                    _fmt(r.t),
-                    _fmt(r.energy),
-                    _fmt(r.momentum_x),
-                    _fmt(r.momentum_y),
-                    str(r.corrector_iters),
-                    _fmt(r.wall_seconds),
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(path, INVARIANTS_HEADER, map(attrgetter(*_SERIES_FIELDS), record.series))
 
 
 def _scheme_summary(record: RunRecord) -> dict:
@@ -92,7 +84,9 @@ def _scheme_summary(record: RunRecord) -> dict:
         "steps": int(record.series[-1].step),
         "mean_corrector_iters": float(iters[1:].mean()) if len(iters) > 1 else 0.0,
     }
-    out.update(record.invariant_summary())
+    for name in ("energy", "momentum_x", "momentum_y"):
+        tv, sup = invariant_stats(record.column(name))
+        out[name] = {"total_variation": tv, "sup_deviation": sup}
     return out
 
 
@@ -103,6 +97,17 @@ def _failure_summary(exc: NumericalFailureError) -> dict:
     if exc.residual is not None:
         out["residual"] = exc.residual
     return out
+
+
+def _run_header(cfg: ExperimentConfig, grid: GridSpec, dt: float) -> dict:
+    """Summary keys of the one-grid commands, ``conserve`` and ``reversibility``."""
+    return {
+        "grid": f"{grid.K}x{grid.J}",
+        "alpha": grid.alpha,
+        "dt": dt,
+        "t_final": cfg.t_final,
+        "profile": cfg.profile,
+    }
 
 
 def _write_summary(cfg: ExperimentConfig, payload: dict) -> None:
@@ -150,17 +155,7 @@ def cmd_conserve(cfg: ExperimentConfig) -> int:
             write_snapshot(u, t, scheme_dir / f"snap_{index * cfg.snapshot_every:08d}.bin")
         return _scheme_summary(record)
 
-    return _each_scheme(
-        cfg,
-        run,
-        {
-            "grid": f"{grid.K}x{grid.J}",
-            "alpha": grid.alpha,
-            "dt": dt,
-            "t_final": cfg.t_final,
-            "profile": cfg.profile,
-        },
-    )
+    return _each_scheme(cfg, run, _run_header(cfg, grid, dt))
 
 
 def cmd_convergence(cfg: ExperimentConfig) -> int:
@@ -194,9 +189,6 @@ def cmd_convergence(cfg: ExperimentConfig) -> int:
     except NumericalFailureError as exc:
         _write_summary(cfg, {"scheme": sel.label, **_failure_summary(exc)})
         return 1
-    lines = ["h,error"]
-    for h, err in points:
-        lines.append(f"{_fmt(h)},{_fmt(err)}")
     _write_summary(
         cfg,
         {
@@ -210,7 +202,7 @@ def cmd_convergence(cfg: ExperimentConfig) -> int:
             "fitted_slope": fit_loglog_slope(points),
         },
     )
-    (cfg.out_dir / "convergence.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(cfg.out_dir / "convergence.csv", "h,error", points)
     return 0
 
 
@@ -220,32 +212,24 @@ def cmd_reversibility(cfg: ExperimentConfig) -> int:
     dt = cfg.resolve_dt(grid.dx)
     sigma = _sigma_of(cfg)
     ratio = grid.alpha / sigma if sigma else math.nan
-    rows = ["scheme,profile,alpha_over_sigma,dt_over_dx,rel_error_percent"]
+    rows = []
 
     def run(sel: SchemeSelection) -> dict:
         initial = _initial_state(cfg, grid)
         err = reversibility_test(initial, sel.build(dt, cfg.bootstrap), cfg.t_final)
-        rows.append(
-            ",".join(
-                [sel.label, cfg.profile, _fmt(ratio), _fmt(dt / grid.dx), _fmt(err * 100.0)]
-            )
-        )
+        rows.append((sel.label, cfg.profile, ratio, dt / grid.dx, err * 100.0))
         return {"status": "ok", "rel_error_percent": err * 100.0}
 
     code = _each_scheme(
         cfg,
         run,
-        {
-            "grid": f"{grid.K}x{grid.J}",
-            "alpha": grid.alpha,
-            "sigma": sigma,
-            "dt": dt,
-            "dt_over_dx": dt / grid.dx,
-            "t_final": cfg.t_final,
-            "profile": cfg.profile,
-        },
+        {**_run_header(cfg, grid, dt), "sigma": sigma, "dt_over_dx": dt / grid.dx},
     )
-    (cfg.out_dir / "reversibility.csv").write_text("\n".join(rows) + "\n")
+    _write_csv(
+        cfg.out_dir / "reversibility.csv",
+        "scheme,profile,alpha_over_sigma,dt_over_dx,rel_error_percent",
+        rows,
+    )
     return code
 
 
@@ -264,7 +248,7 @@ def _timed_steps(
 def cmd_bench(cfg: ExperimentConfig) -> int:
     """Per-step wall-clock cost across grids (median of reps, warmup excluded)."""
     warmup = 5
-    rows = ["grid_points,scheme,seconds_per_step"]
+    rows = []
 
     def run(sel: SchemeSelection) -> dict:
         costs: list[tuple[int, float]] = []
@@ -274,7 +258,7 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
             reps = [_timed_steps(cfg, sel, grid, warmup) for _ in range(cfg.bench_reps)]
             cost = float(np.median(reps))
             costs.append((k * j, cost))
-            rows.append(f"{k * j},{sel.label},{_fmt(cost)}")
+            rows.append((k * j, sel.label, cost))
             entry["seconds_per_step"][f"{k}x{j}"] = cost
         if len(costs) >= 2:
             entry["cost_exponent_vs_points"] = fit_loglog_slope(costs)
@@ -295,7 +279,7 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
             "bench_reps": cfg.bench_reps,
         },
     )
-    (cfg.out_dir / "bench.csv").write_text("\n".join(rows) + "\n")
+    _write_csv(cfg.out_dir / "bench.csv", "grid_points,scheme,seconds_per_step", rows)
     return code
 
 

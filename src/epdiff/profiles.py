@@ -132,20 +132,19 @@ class WaveFrontSpec:
         cls,
         sigma: float = 0.1,
         amplitude: float = 1.0,
-        x_left: float = -0.5,
-        x_right: float = -0.1,
         y_half: float = 0.4,
         gaussian_cross_section: bool = False,
     ) -> "WaveFrontSpec":
-        """Two vertical segments moving right; the left one twice as strong."""
+        """Two vertical segments, at x = -0.5 and x = -0.1, moving right; the
+        left one twice as strong."""
         return cls(
             kind=FrontKind.PARALLEL,
             sigma=sigma,
             amplitude=amplitude,
             gaussian_cross_section=gaussian_cross_section,
             segments=(
-                Segment(x_left, -y_half, y_half, scale=2.0),
-                Segment(x_right, -y_half, y_half, scale=1.0),
+                Segment(-0.5, -y_half, y_half, scale=2.0),
+                Segment(-0.1, -y_half, y_half, scale=1.0),
             ),
         )
 
@@ -154,29 +153,24 @@ class WaveFrontSpec:
         cls,
         sigma: float = 0.05,
         amplitude: float = 1.0,
-        arms: int = 3,
         arc_radius: float = 0.25,
         ring_radius: float = 0.35,
-        span_degrees: float = 120.0,
-        first_angle_degrees: float = 90.0,
-        crown_offset_degrees: float = -90.0,
         gaussian_cross_section: bool = False,
     ) -> "WaveFrontSpec":
-        """Rotationally symmetric arcs whose outward normals circulate
-        clockwise (each arc bulges a quarter turn clockwise of its position
-        on the ring, so the fragments chase each other)."""
-        if arms < 1:
-            raise ValueError("star needs at least one arm")
+        """Three 120-degree arcs placed on the ring at 90, 210 and 330
+        degrees, whose outward normals circulate clockwise (each arc bulges a
+        quarter turn clockwise of its position on the ring, so the fragments
+        chase each other)."""
         arcs = []
-        for i in range(arms):
-            phi = math.radians(first_angle_degrees + i * 360.0 / arms)
+        for i in range(3):
+            phi = math.radians(90.0 + i * 120.0)
             arcs.append(
                 Arc(
                     cx=ring_radius * math.cos(phi),
                     cy=ring_radius * math.sin(phi),
                     radius=arc_radius,
-                    theta_center=phi + math.radians(crown_offset_degrees),
-                    theta_span=math.radians(span_degrees),
+                    theta_center=phi + math.radians(-90.0),
+                    theta_span=math.radians(120.0),
                 )
             )
         return cls(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional, Union
 
@@ -24,10 +24,10 @@ from .core import (
     energy_scheme1,
     linear_momenta,
 )
-from .diagnostics import RunRecord, SeriesRow
 from .errors import NonConvergenceError, NumericalFailureError
 from .grid import (
     FieldPair,
+    GridSpec,
     _apply_q_arr,
     _check_same_grid,
     _scratch,
@@ -43,6 +43,8 @@ __all__ = [
     "Tolerance",
     "SchemeConfig",
     "StepResult",
+    "SeriesRow",
+    "RunRecord",
     "step_scheme1_pc",
     "step_scheme2",
     "step_scheme3",
@@ -119,16 +121,56 @@ class SchemeConfig:
 class StepResult:
     """State after one step plus solver bookkeeping.
 
-    ``corrector_iters`` is 0 for the explicit schemes;
     ``linear_solve_residual`` is the relative residual of whichever linear or
     fixed-point solve produced the state; ``corrector_increments`` holds the
     norms of successive corrector updates (predictor-corrector only).
     """
 
     state: State
-    corrector_iters: int
     linear_solve_residual: float
     corrector_increments: tuple[float, ...] = ()
+
+    @property
+    def corrector_iters(self) -> int:
+        """Corrector passes: one per increment, 0 for the explicit schemes."""
+        return len(self.corrector_increments)
+
+
+@dataclass(frozen=True)
+class SeriesRow:
+    """One row of the invariant time series."""
+
+    step: int
+    t: float
+    energy: float
+    momentum_x: float
+    momentum_y: float
+    corrector_iters: int
+    wall_seconds: float
+
+
+@dataclass
+class RunRecord:
+    """Time series of invariants plus optional snapshots from one integration.
+
+    The energy column holds the scheme's own discrete energy: the pointwise
+    energy of the current state for one-step schemes, and the half-step energy
+    of the (previous, current) pair for the two-step schemes.  For the latter
+    the step-0 row repeats the first available half-step value, which is also
+    the baseline the conservation theory compares against, so the total
+    variation and sup deviation of the column are unaffected.
+    """
+
+    scheme: str
+    grid: GridSpec
+    dt: float
+    series: list[SeriesRow] = field(default_factory=list)
+    snapshots: list[tuple[float, FieldPair]] = field(default_factory=list)
+    # The last two states; used to seed reversals.
+    states_tail: tuple[State, ...] = ()
+
+    def column(self, name: str) -> np.ndarray:
+        return np.array([getattr(r, name) for r in self.series])
 
 
 def _require_consecutive(s_nm1: State, s_n: State, dt: float):
@@ -168,12 +210,7 @@ def _finish(
         m=FieldPair.from_arrays(grid, m[0], m[1]),
         t=s_n.t + dt,
     )
-    return StepResult(
-        state,
-        corrector_iters=len(increments),
-        linear_solve_residual=residual,
-        corrector_increments=increments,
-    )
+    return StepResult(state, residual, increments)
 
 
 def _leapfrog(s_nm1: State, s_n: State, dt: float) -> np.ndarray:
@@ -461,9 +498,7 @@ def integrate(
                 result = advance(prev, cur)
             elif seed_second_state is not None:
                 _require_consecutive(cur, seed_second_state, dt)
-                result = StepResult(
-                    seed_second_state, corrector_iters=0, linear_solve_residual=0.0
-                )
+                result = StepResult(seed_second_state, linear_solve_residual=0.0)
             else:
                 result = _bootstrap_result(cur, dt, cfg)
             wall = time.perf_counter() - t_start

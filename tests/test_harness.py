@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epdiff import ConfigError, GridSpec
 from epdiff.cli import _build_parser, main
@@ -18,7 +20,7 @@ from epdiff.config import (
     parse_scheme_label,
     read_config_file,
 )
-from epdiff.harness import _grid, run_command
+from epdiff.harness import _grid, _write_csv, run_command
 from epdiff.snapshots import read_snapshot, write_snapshot
 from epdiff.steppers import _resolve_step_count
 from conftest import random_pair
@@ -73,6 +75,38 @@ class TestRepeatedGrid:
         out = tmp_path / "out"
         assert run_cli(command, "--grid", grid, "--out", str(out)) == 2
         assert not out.exists() and not calls
+
+
+class TestTimeStepRules:
+    @pytest.mark.parametrize(
+        "rules",
+        [
+            {"dt": "0.01", "dt_dx_ratio": "0.5", "dt_dx2": "yes"},
+            {"dt": "0.01", "dt_dx2": "yes"},
+            {"dt_dx2": "on", "dt_dx_ratio": "0.5"},
+        ],
+    )
+    def test_more_than_one_rule_exits_two(self, tmp_path, rules):
+        # `run --dt 0.01 --dt-dx-ratio 0.5 --dt-dx2` used to run at dt = 0.01
+        # and exit 0: the first rule set won and the others were ignored.
+        argv = []
+        for key, text in rules.items():
+            opt = OPTIONS[key]
+            argv += [opt.flag] if opt.switch else [opt.flag, text]
+        cfg_file = tmp_path / "rules.cfg"
+        cfg_file.write_text("".join(f"{key} = {text}\n" for key, text in rules.items()))
+        out = tmp_path / "out"
+        for form in (argv, ["--config", str(cfg_file)]):
+            assert run_cli("run", "--grid", "8", *form, "--out", str(out)) == 2
+            assert not out.exists()
+        with pytest.raises(ConfigError, match="at most one time-step rule"):
+            build_config("run", {"config": cfg_file})
+
+    def test_switch_set_to_no_is_not_a_rule(self, tmp_path):
+        cfg_file = tmp_path / "rules.cfg"
+        cfg_file.write_text("dt = 0.01\ndt_dx2 = no\n")
+        cfg = build_config("run", {"config": cfg_file})
+        assert (cfg.dt, cfg.dt_dx2, cfg.resolve_dt(0.5)) == (0.01, False, 0.01)
 
 
 class TestConfigFile:
@@ -474,6 +508,29 @@ class TestConserveCommand:
         assert outs[0] == outs[1]
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(), _FINITE, _FINITE.map(np.float64), st.integers(-3, 3)),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_csv_cells_parse_back_bit_for_bit(tmp_path_factory, rows):
+    path = tmp_path_factory.getbasetemp() / "cells.csv"
+    _write_csv(path, "a,b,c,d", rows)
+    header, *lines = path.read_text().splitlines()
+    assert header == "a,b,c,d" and len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        cells = line.split(",")
+        assert [int(cells[0]), int(cells[3])] == [row[0], row[3]]
+        for cell, value in zip(cells[1:3], row[1:3]):
+            assert float(cell).hex() == float(value).hex()
+
+
 class TestRunCommand:
     def test_snapshots_written_at_cadence(self, tmp_path):
         code = run_cli(
@@ -561,12 +618,15 @@ class TestConvergenceCommand:
         assert code == 2
         assert not list(tmp_path.iterdir()) and not calls
 
-    def test_non_nested_grids_rejected(self, tmp_path):
+    def test_non_nested_grids_rejected(self, tmp_path, capsys):
+        # Two grids, both coarser than the reference, so only the nesting
+        # rule can refuse them: 24 does not divide 64.
         code = run_cli(
-            "convergence", "--grid", "24", "--reference-grid", "64",
+            "convergence", "--grid", "24,32", "--reference-grid", "64",
             "--out", str(tmp_path),
         )
         assert code == 2
+        assert "does not nest" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
 

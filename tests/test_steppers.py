@@ -1,6 +1,7 @@
 """Time steppers: conservation structure, solver validation, and the driver."""
 
 import ast
+import graphlib
 import math
 import subprocess
 import sys
@@ -300,6 +301,27 @@ def test_package_sources_import_no_scipy_and_use_every_import():
                     nodes += ast.walk(ast.parse(c.value, mode="eval"))
         used = {n.id for n in nodes if isinstance(n, ast.Name)}
         assert bound <= used, f"{path.name} never reads {sorted(bound - used)}"
+
+
+def test_package_imports_are_top_level_and_acyclic():
+    # A module that imports a sibling inside a function or under
+    # TYPE_CHECKING hides a dependency, usually to dodge an import cycle.
+    import epdiff
+
+    graph = {}
+    for path in sorted(Path(epdiff.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        relative = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level]
+        for node in relative:
+            assert node in tree.body, f"{path.name}:{node.lineno} imports below top level"
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        assert "TYPE_CHECKING" not in names, path.name
+        graph[path.stem] = {
+            node.module or alias.name for node in relative for alias in node.names
+        }
+    # Raises graphlib.CycleError naming the cycle.
+    tuple(graphlib.TopologicalSorter(graph).static_order())
 
 
 class TestScheme1PredictorCorrector:
