@@ -2,8 +2,14 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from epdiff import FieldPair, GridSpec, ScalarField, State
+
+# Every property test draws the same examples on every run: no example
+# database, no deadline; each test sets only its ``max_examples``.
+settings.register_profile("epdiff", derandomize=True, database=None, deadline=None)
+settings.load_profile("epdiff")
 
 
 @pytest.fixture

@@ -511,7 +511,7 @@ class TestConserveCommand:
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(
     rows=st.lists(
         st.tuples(st.integers(), _FINITE, _FINITE.map(np.float64), st.integers(-3, 3)),

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epdiff import (
     BootstrapKind,
@@ -25,9 +27,12 @@ from epdiff import (
     State,
     Tolerance,
     apply_q,
+    energy_half_scheme2,
+    energy_half_scheme3,
     energy_scheme1,
     gamma_apply,
     integrate,
+    linear_momenta,
     norm,
     sine_profile,
     solvability_dt_bound,
@@ -36,7 +41,7 @@ from epdiff import (
     step_scheme2,
     step_scheme3,
 )
-from epdiff.steppers import SCHEME3_RESIDUAL_CAP
+from epdiff.steppers import SCHEME3_RESIDUAL_CAP, _bootstrap_result
 from conftest import random_pair, random_state
 
 
@@ -678,3 +683,62 @@ class TestIntegrate:
             sys.setswitchinterval(interval)
         for seq, par in zip(alone, together):
             assert all(np.array_equal(a, b) for a, b in zip(seq, par))
+
+
+def _drawn_state(K, J, alpha, seed):
+    """A random velocity on a drawn grid and half the solvability bound."""
+    g = GridSpec(K, J, alpha)
+    s0 = State.from_velocity(random_pair(g, np.random.default_rng(seed)))
+    return s0, 0.5 * solvability_dt_bound(s0.m)
+
+
+@settings(max_examples=40)
+@given(
+    K=st.integers(3, 17),
+    J=st.integers(3, 17),
+    alpha=st.floats(0.05, 1.5),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    kind=st.sampled_from(SchemeKind),
+    bootstrap=st.sampled_from(BootstrapKind),
+)
+def test_integrate_rows_are_the_hand_stepped_rows(K, J, alpha, seed, n, kind, bootstrap):
+    # Row 0 of a two-level scheme repeats step 1's energy (scheme1's
+    # pointwise energy included); rk4's row 0 holds the initial energy.
+    s0, dt = _drawn_state(K, J, alpha, seed)
+    cfg = SchemeConfig(kind, dt, bootstrap=bootstrap)
+    rec = integrate(s0, cfg, s0.t + n * dt)
+
+    two_level = kind is not SchemeKind.RK4
+    states, iters = [s0], [0]
+    for i in range(n):
+        if kind is SchemeKind.RK4:
+            res = step_rk4(states[-1], dt)
+        elif i == 0:
+            res = _bootstrap_result(s0, dt, cfg)
+        elif kind is SchemeKind.SCHEME1_PC:
+            res = step_scheme1_pc(states[-2], states[-1], dt, cfg)
+        elif kind is SchemeKind.SCHEME2:
+            res = step_scheme2(states[-2], states[-1], dt)
+        else:
+            res = step_scheme3(states[-2], states[-1], dt)
+        states.append(res.state)
+        iters.append(res.corrector_iters)
+    energy = {
+        SchemeKind.SCHEME2: energy_half_scheme2,
+        SchemeKind.SCHEME3: energy_half_scheme3,
+    }.get(kind, lambda prev, cur: energy_scheme1(cur))
+    energies = [energy(prev, cur) for prev, cur in zip(states, states[1:])]
+    energies.insert(0, energies[0] if two_level else energy_scheme1(s0))
+    expected = [
+        (step, s.t, e, *linear_momenta(s), it)
+        for step, (s, e, it) in enumerate(zip(states, energies, iters))
+    ]
+    got = [
+        (r.step, r.t, r.energy, r.momentum_x, r.momentum_y, r.corrector_iters)
+        for r in rec.series
+    ]
+    assert got == expected
+    final = rec.states_tail[-1]
+    assert np.array_equal(final.u.values, states[-1].u.values)
+    assert np.array_equal(final.m.values, states[-1].m.values)
