@@ -50,7 +50,7 @@ class GridSpec:
     K, J : int
         Number of grid points in the x and y direction (at least 3 each).
     alpha : float
-        Positive length scale of the screened Laplacian ``1 - alpha^2 Lap``.
+        Positive, finite length scale of the screened Laplacian ``1 - alpha^2 Lap``.
     """
 
     K: int
@@ -58,15 +58,16 @@ class GridSpec:
     alpha: float
 
     def __post_init__(self):
-        if int(self.K) != self.K or int(self.J) != self.J:
-            raise ValueError("grid sizes K, J must be integers")
+        finite = math.isfinite(self.K) and math.isfinite(self.J)
+        if not finite or int(self.K) != self.K or int(self.J) != self.J:
+            raise ValueError(f"grid sizes K, J must be integers, got {self.K}, {self.J}")
         object.__setattr__(self, "K", int(self.K))
         object.__setattr__(self, "J", int(self.J))
         object.__setattr__(self, "alpha", float(self.alpha))
         if self.K < 3 or self.J < 3:
             raise ValueError(f"grid must be at least 3x3, got {self.K}x{self.J}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
     @property
     def dx(self) -> float:

@@ -10,7 +10,7 @@ curve's endpoints.  Velocity points along the front's outward normal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 
 import numpy as np
@@ -86,10 +86,13 @@ class WaveFrontSpec:
     def __post_init__(self):
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
-        if not self.amplitude > 0:
-            raise ValueError("amplitude must be positive")
+        if not 0 < self.amplitude < math.inf:
+            raise ValueError("amplitude must be positive and finite")
         if not self.segments and not self.arcs:
             raise ValueError("wave-front geometry is empty")
+        for part in (*self.segments, *self.arcs):
+            if not all(map(math.isfinite, astuple(part))):
+                raise ValueError(f"wave-front geometry must be finite, got {part}")
         margin = 1.0 - CUTOFF_SIGMAS * self.sigma
         if margin <= 0:
             raise ValueError("cutoff radius 4*sigma does not fit inside the domain")

@@ -27,7 +27,6 @@ from .core import (
 from .errors import NonConvergenceError, NumericalFailureError
 from .grid import (
     FieldPair,
-    GridSpec,
     _apply_q_arr,
     _check_same_grid,
     _scratch,
@@ -80,8 +79,8 @@ class FixedCount:
     count: int
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("corrector count must be at least 1")
+        if not 1 <= self.count < math.inf:
+            raise ValueError("corrector count must be finite and at least 1")
 
 
 @dataclass(frozen=True)
@@ -95,8 +94,8 @@ class Tolerance:
     def __post_init__(self):
         if not 0.0 < self.rtol < 1.0:
             raise ValueError("corrector rtol must lie in (0, 1)")
-        if self.max_iter < 1:
-            raise ValueError("corrector max_iter must be at least 1")
+        if not 1 <= self.max_iter < math.inf:
+            raise ValueError("corrector max_iter must be finite and at least 1")
 
 
 CorrectorMode = Union[FixedCount, Tolerance]
@@ -113,8 +112,8 @@ class SchemeConfig:
     bootstrap: BootstrapKind = BootstrapKind.RK4
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
 
 @dataclass(frozen=True)
@@ -151,22 +150,21 @@ class SeriesRow:
 
 @dataclass
 class RunRecord:
-    """Time series of invariants plus optional snapshots from one integration.
+    """The invariant rows, the optional velocity snapshots and the last two
+    states of one integration.
 
     The energy column holds the scheme's own discrete energy: the pointwise
-    energy of the current state for one-step schemes, and the half-step energy
-    of the (previous, current) pair for the two-step schemes.  For the latter
-    the step-0 row repeats the first available half-step value, which is also
-    the baseline the conservation theory compares against, so the total
-    variation and sup deviation of the column are unaffected.
+    energy of the current state for scheme1 and rk4, and the half-step
+    energy of the (previous, current) pair for scheme2 and scheme3.  Row 0
+    of a two-level scheme, scheme1 included, repeats step 1's value: for
+    scheme2 and scheme3 that is the baseline the conservation theory
+    compares against, so the total variation and sup deviation of the
+    column are unaffected.  Row 0 of rk4 holds the initial energy.
     """
 
-    scheme: str
-    grid: GridSpec
-    dt: float
     series: list[SeriesRow] = field(default_factory=list)
     snapshots: list[tuple[float, FieldPair]] = field(default_factory=list)
-    # The last two states; used to seed reversals.
+    # (previous, final) state: a reversal restarts from the final one.
     states_tail: tuple[State, ...] = ()
 
     def column(self, name: str) -> np.ndarray:
@@ -429,27 +427,21 @@ def integrate(
     observer: Optional[Callable[[StepResult], None]] = None,
     *,
     snapshot_every: int = 0,
-    seed_second_state: Optional[State] = None,
 ) -> RunRecord:
     """Run the configured stepper from ``initial`` to ``t_final``.
 
-    The two-level schemes bootstrap their second level with ``cfg.bootstrap``
-    unless ``seed_second_state`` supplies it directly (for seeded-reversal
-    checks of the two-level stencils).  ``observer`` is invoked with every
-    :class:`StepResult`; ``snapshot_every`` > 0 stores the velocity every
-    that many steps (step 0 included).  Stepper failures abort with the step
-    index in the message and in ``exc.step``.
+    The first step of a two-level scheme is ``cfg.bootstrap``.  ``observer``
+    is invoked with every :class:`StepResult`; ``snapshot_every`` > 0 stores
+    the velocity every that many steps (step 0 included).  Stepper failures
+    abort with the step index in the message and in ``exc.step``.
     """
-    kind = cfg.kind
     dt = cfg.dt
     n_steps = _resolve_step_count(initial.t, t_final, dt)
-    multistep = kind is not SchemeKind.RK4
-    if seed_second_state is not None and not multistep:
-        raise ValueError("a seed pair only makes sense for two-level schemes")
+    multistep = cfg.kind is not SchemeKind.RK4
 
     # Built per call, not at import, so that a stepper or energy replaced on
     # this module (by a tracer or a test) is the one that runs.
-    def pointwise_energy(prev: Optional[State], cur: State) -> float:
+    def pointwise_energy(prev: State, cur: State) -> float:
         return energy_scheme1(cur)
 
     advance, scheme_energy = {
@@ -463,53 +455,34 @@ def integrate(
             lambda prev, cur: step_scheme3(prev, cur, dt), energy_half_scheme3
         ),
         SchemeKind.RK4: (lambda prev, cur: step_rk4(cur, dt), pointwise_energy),
-    }[kind]
+    }[cfg.kind]
 
-    record = RunRecord(scheme=kind.value, grid=initial.grid, dt=dt)
+    record = RunRecord()
 
-    def snapshot(step: int, s: State):
+    def add_row(step: int, s: State, energy: float, iters: int, wall: float):
+        record.series.append(SeriesRow(step, s.t, energy, *linear_momenta(s), iters, wall))
         if snapshot_every > 0 and step % snapshot_every == 0:
             record.snapshots.append((s.t, s.u))
 
-    def add_row(step: int, s: State, energy: float, res: StepResult | None, wall: float):
-        mx, my = linear_momenta(s)
-        record.series.append(
-            SeriesRow(
-                step=step,
-                t=s.t,
-                energy=energy,
-                momentum_x=mx,
-                momentum_y=my,
-                corrector_iters=res.corrector_iters if res else 0,
-                wall_seconds=wall,
-            )
-        )
-
     prev: Optional[State] = None
     cur = initial
-    snapshot(0, cur)
-    if not multistep:
-        add_row(0, cur, scheme_energy(None, cur), None, 0.0)
-
     try:
         for step in range(1, n_steps + 1):
             t_start = time.perf_counter()
-            if step > 1 or not multistep:
-                result = advance(prev, cur)
-            elif seed_second_state is not None:
-                _require_consecutive(cur, seed_second_state, dt)
-                result = StepResult(seed_second_state, linear_solve_residual=0.0)
-            else:
+            if prev is None and multistep:
                 result = _bootstrap_result(cur, dt, cfg)
+            else:
+                result = advance(prev, cur)
             wall = time.perf_counter() - t_start
 
             prev, cur = cur, result.state
             energy = scheme_energy(prev, cur)
-            if step == 1 and multistep:
-                # The two-level energy of step 0 needs the bootstrapped level.
-                add_row(0, prev, energy, None, 0.0)
-            add_row(step, cur, energy, result, wall)
-            snapshot(step, cur)
+            if step == 1:
+                # A two-level energy needs the bootstrapped level, so row 0
+                # repeats step 1's; rk4's row 0 holds the initial energy.
+                energy_0 = energy if multistep else energy_scheme1(prev)
+                add_row(0, prev, energy_0, 0, 0.0)
+            add_row(step, cur, energy, result.corrector_iters, wall)
             if observer is not None:
                 observer(result)
     except NumericalFailureError as exc:

@@ -63,6 +63,14 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(*bad)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("which", range(3))
+    def test_rejects_non_finite_numbers(self, value, which):
+        args = [8, 8, 1.0]
+        args[which] = value
+        with pytest.raises(ValueError):
+            GridSpec(*args)
+
     def test_equality_is_by_geometry(self):
         assert GridSpec(8, 8, 0.5) == GridSpec(8, 8, 0.5)
         assert GridSpec(8, 8, 0.5) != GridSpec(8, 8, 0.25)

@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import math
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -447,6 +449,17 @@ class TestSnapshots:
         write_snapshot(random_pair(g, rng), 0.0, path)
         raw = bytearray(path.read_bytes())
         raw[:4] = b"XXXX"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    def test_non_finite_alpha_rejected(self, tmp_path, rng, alpha):
+        g = GridSpec(6, 6, 1.0)
+        path = tmp_path / "snap.bin"
+        write_snapshot(random_pair(g, rng), 0.0, path)
+        raw = bytearray(path.read_bytes())
+        raw[16:24] = struct.pack("<d", alpha)
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError):
             read_snapshot(path)

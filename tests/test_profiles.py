@@ -1,5 +1,7 @@
 """Initial-condition generators: the sine benchmark and wave fronts."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,40 @@ class TestSpecValidation:
     def test_cutoff_must_fit_in_domain(self):
         with pytest.raises(ValueError):
             WaveFrontSpec.plate(sigma=0.3)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: WaveFrontSpec.plate(sigma=v),
+            lambda v: WaveFrontSpec.plate(amplitude=v),
+            lambda v: WaveFrontSpec.plate(x=v),
+            lambda v: WaveFrontSpec.plate(y_half=v),
+            lambda v: WaveFrontSpec.parallel(y_half=v),
+            lambda v: WaveFrontSpec.star(arc_radius=v),
+            lambda v: WaveFrontSpec.star(ring_radius=v),
+        ],
+        ids=["sigma", "amplitude", "x", "y_half", "parallel-y_half", "arc_radius", "ring_radius"],
+    )
+    def test_non_finite_numbers_rejected(self, make, value):
+        with pytest.raises(ValueError):
+            make(value)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", range(4))
+    def test_non_finite_segment_numbers_rejected(self, value, field):
+        numbers = [-0.3, -0.4, 0.4, 1.0]
+        numbers[field] = value
+        with pytest.raises(ValueError):
+            WaveFrontSpec(kind=FrontKind.PLATE, sigma=0.1, segments=(Segment(*numbers),))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", range(5))
+    def test_non_finite_arc_numbers_rejected(self, value, field):
+        numbers = [0.0, 0.0, 0.25, 0.0, 1.0]
+        numbers[field] = value
+        with pytest.raises(ValueError):
+            WaveFrontSpec(kind=FrontKind.STAR, sigma=0.05, arcs=(Arc(*numbers),))
 
     def test_default_spec_dispatch(self):
         assert default_spec(FrontKind.PLATE).kind is FrontKind.PLATE

@@ -64,6 +64,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SchemeConfig(SchemeKind.SCHEME2, 0.0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_numbers_rejected(self, value):
+        with pytest.raises(ValueError):
+            SchemeConfig(SchemeKind.SCHEME2, value)
+        with pytest.raises(ValueError):
+            FixedCount(value)
+        with pytest.raises(ValueError):
+            Tolerance(1e-10, value)
+
     def test_corrector_modes_validate(self):
         with pytest.raises(ValueError):
             FixedCount(0)
@@ -530,41 +539,15 @@ class TestIntegrate:
         assert np.all(np.diff(times) > 0)
         assert rec.series[0].step == 0
 
-    def test_seed_pair_replaces_bootstrap(self, rng):
-        g = GridSpec(10, 10, 1.0)
-        dt = 0.01
-        cfg = SchemeConfig(SchemeKind.SCHEME2, dt)
-        s0 = random_state(g, rng, t=0.0)
-        fwd = integrate(s0, cfg, 0.1)
-        tail = fwd.states_tail
-        again = integrate(
-            tail[0], cfg, tail[0].t + 0.05, seed_second_state=tail[1]
-        )
-        assert again.series[-1].step == 5
-
-    def test_seed_pair_rejected_for_single_step_scheme(self, rng):
-        g = GridSpec(8, 8, 1.0)
-        s0 = random_state(g, rng, t=0.0)
-        s1 = random_state(g, rng, t=0.01)
-        with pytest.raises(ValueError):
-            integrate(
-                s0, SchemeConfig(SchemeKind.RK4, 0.01), 0.1, seed_second_state=s1
-            )
-
     def test_two_level_schemes_retrace_under_seeded_reversal(self):
-        # Negating the final pair and seeding the reversed run directly makes
-        # the leapfrog stencils retrace the forward trajectory to rounding:
-        # their relations are invariant under swapping the outer levels and
+        # Stepping back from the negated final pair makes the leapfrog
+        # stencils retrace the forward trajectory to rounding: their
+        # relations are invariant under swapping the outer levels and
         # negating fields and dt.
         g = GridSpec(20, 20, 1.0)
         s0 = sine_profile(g)
         for kind in (SchemeKind.SCHEME2, SchemeKind.SCHEME3):
-            cfg = SchemeConfig(kind, g.dx**2)
-            fwd = integrate(s0, cfg, 0.5)
-            r0 = fwd.states_tail[-1].negated(t=0.0)
-            r1 = fwd.states_tail[-2].negated(t=cfg.dt)
-            back = integrate(r0, cfg, 0.5, seed_second_state=r1)
-            returned = back.states_tail[-1].negated(t=0.0)
+            returned = _retraced(s0, kind, g.dx**2, 0.5)
             assert norm(returned.u - s0.u) <= 1e-11 * norm(s0.u)
 
     def test_scheme2_conserves_energy_on_plate_run(self):
@@ -685,6 +668,18 @@ class TestIntegrate:
             assert all(np.array_equal(a, b) for a, b in zip(seq, par))
 
 
+def _retraced(s0, kind, dt, t_final):
+    """Integrate to ``t_final``, step the same number of steps back by hand
+    from the negated final pair, and return the negated end state."""
+    step = step_scheme2 if kind is SchemeKind.SCHEME2 else step_scheme3
+    fwd = integrate(s0, SchemeConfig(kind, dt), t_final)
+    prev = fwd.states_tail[-1].negated(t=0.0)
+    cur = fwd.states_tail[-2].negated(t=dt)
+    for _ in range(fwd.series[-1].step - 1):
+        prev, cur = cur, step(prev, cur, dt).state
+    return cur.negated(t=s0.t)
+
+
 def _drawn_state(K, J, alpha, seed):
     """A random velocity on a drawn grid and half the solvability bound."""
     g = GridSpec(K, J, alpha)
@@ -742,3 +737,18 @@ def test_integrate_rows_are_the_hand_stepped_rows(K, J, alpha, seed, n, kind, bo
     final = rec.states_tail[-1]
     assert np.array_equal(final.u.values, states[-1].u.values)
     assert np.array_equal(final.m.values, states[-1].m.values)
+
+
+@settings(max_examples=60)
+@given(
+    K=st.integers(3, 33),
+    J=st.integers(3, 33),
+    alpha=st.floats(0.05, 1.5),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 11),
+    kind=st.sampled_from((SchemeKind.SCHEME2, SchemeKind.SCHEME3)),
+)
+def test_two_level_schemes_retrace_drawn_states(K, J, alpha, seed, n, kind):
+    s0, dt = _drawn_state(K, J, alpha, seed)
+    returned = _retraced(s0, kind, dt, s0.t + n * dt)
+    assert norm(returned.u - s0.u) <= 1e-11 * norm(s0.u)
