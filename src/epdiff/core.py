@@ -18,8 +18,7 @@ from .grid import (
     GridSpec,
     _check_same_grid,
     _d1_arr,
-    _layer_inners,
-    _scratch,
+    _plan,
     apply_q,
     inner,
     norm,
@@ -82,24 +81,25 @@ def _gamma_arrays(m: np.ndarray, v: np.ndarray, grid: GridSpec) -> np.ndarray:
     """The bracket of (2, J, K) momentum and velocity stacks, as one new stack.
 
     The eight centered differences are taken as four stencil passes over
-    (2, J, K) stacks written into per-thread scratch, and the terms are
-    summed left to right, bit for bit as term by term with d1x/d1y:
+    (2, J, K) stacks written into the two stacks of the plan's work array,
+    and the terms are summed left to right, bit for bit as term by term
+    with d1x/d1y:
 
         c1 = m1*d1x(v1) + m2*d1x(v2) + d1x(m1*v1) + d1y(m1*v2)
         c2 = m1*d1y(v1) + m2*d1y(v2) + d1x(m2*v1) + d1y(m2*v2)
     """
+    plan = _plan(grid, m.shape)
+    diff, work = plan.pair0, plan.pair1
+    work1, work2 = plan.work_layers
     out = np.empty(m.shape)
-    diff = _scratch("bracket_diff", m.shape)
-    work = _scratch("bracket_work", m.shape)
     # Direction c (x, then y) gives component c its m1*dc(v1) + m2*dc(v2),
     # and then adds dc(m*v_c) to both components.
-    directions = ((0, -1, grid.dx), (1, -2, grid.dy))
-    for c, axis, h in directions:
+    for c, axis, h in plan.directions:
         np.multiply(m, _d1_arr(v, axis, h, diff), out=work)
-        np.add(work[0], work[1], out=out[c])
-    for c, axis, h in directions:
+        np.add(work1, work2, out=out[c])
+    for c, axis, h in plan.directions:
         np.multiply(m, v[c], out=work)
-        out += _d1_arr(work, axis, h, diff)
+        np.add(out, _d1_arr(work, axis, h, diff), out=out)
     return out
 
 
@@ -119,22 +119,33 @@ def energy_scheme1(s: State) -> float:
     return 0.5 * inner(s.m, s.u)
 
 
+def _two_level_energy(a: FieldPair, b: FieldPair, c: FieldPair, d: FieldPair) -> float:
+    """(<a, b> + <c, d>) / 4, the grid inner products of two pairs summed
+    component 1 of both first: the two products fill the plan's two-stack
+    work array, and one reduction sums all four layers."""
+    _check_same_grid(a, c)
+    plan = _plan(a.grid, a.values.shape)
+    np.multiply(a.values, b.values, out=plan.pair0)
+    np.multiply(c.values, d.values, out=plan.pair1)
+    np.add.reduce(plan.pair, axis=(-2, -1), out=plan.sums)
+    (ab1, ab2), (cd1, cd2) = plan.sums.tolist()
+    area = plan.area
+    return 0.25 * (ab1 * area + cd1 * area + ab2 * area + cd2 * area)
+
+
 def energy_half_scheme2(s_n: State, s_np1: State) -> float:
     """Cross-averaged half-step energy (new momentum against old velocity
     and vice versa, averaged over the four products)."""
-    new_old = _layer_inners(s_np1.m, s_n.u)
-    old_new = _layer_inners(s_n.m, s_np1.u)
-    return float(0.25 * (new_old[0] + old_new[0] + new_old[1] + old_new[1]))
+    return _two_level_energy(s_np1.m, s_n.u, s_n.m, s_np1.u)
 
 
 def energy_half_scheme3(s_n: State, s_np1: State) -> float:
     """Same-time products averaged across the two levels."""
-    new = _layer_inners(s_np1.m, s_np1.u)
-    old = _layer_inners(s_n.m, s_n.u)
-    return float(0.25 * (new[0] + old[0] + new[1] + old[1]))
+    return _two_level_energy(s_np1.m, s_np1.u, s_n.m, s_n.u)
 
 
 def linear_momenta(s: State) -> tuple[float, float]:
     """(sum(u1) dx dy, sum(u2) dx dy)."""
-    mx, my = np.add.reduce(s.u.values, axis=(-2, -1)) * s.grid.cell_area
-    return float(mx), float(my)
+    mx, my = np.add.reduce(s.u.values, axis=(-2, -1)).tolist()
+    area = s.grid.cell_area
+    return mx * area, my * area

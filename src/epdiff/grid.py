@@ -121,7 +121,7 @@ class _Field:
             raise ValueError(
                 f"field shape {values.shape} does not match grid shape {shape}"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise NumericalFailureError("field contains non-finite values")
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
@@ -200,7 +200,7 @@ class FieldPair(_Field):
 def _check_same_grid(v, w):
     if type(v) is not type(w):
         raise TypeError(f"cannot combine {type(v).__name__} with {type(w).__name__}")
-    if v.grid != w.grid:
+    if v.grid is not w.grid and v.grid != w.grid:
         raise GridMismatchError(f"grid mismatch: {v.grid} vs {w.grid}")
 
 
@@ -231,55 +231,89 @@ def norm(w) -> float:
 # Stencil kernels on raw arrays whose trailing axes are (J, K): the last axis
 # is x (index k), the second-to-last is y (index j).  Leading axes, if any,
 # are batch dimensions.  The kernels allocate only the arrays they return;
-# their temporaries live in per-thread scratch.
+# their temporaries live in per-thread scratch.  They update arrays in place
+# through explicit ufunc calls with ``out``, which skip the slower operator
+# protocol of ``a -= b``.
 
 _SCRATCH = threading.local()
 
 
-def _scratch(
-    name: str,
-    shape: tuple[int, ...],
-    dtype=np.float64,
-    grid_shape: tuple[int, int] | None = None,
-) -> np.ndarray:
-    """A work array of ``shape`` and ``dtype``, private to the calling thread.
+def _store(grid_shape: tuple[int, int]) -> dict:
+    """The calling thread's scratch store, emptied first when its fields
+    lived on another grid shape (J, K), so resident memory stays bounded."""
+    if getattr(_SCRATCH, "grid_shape", None) != grid_shape:
+        _SCRATCH.grid_shape = grid_shape
+        _SCRATCH.buffers = {}
+    return _SCRATCH.buffers
 
-    Each kernel uses names of its own, so a kernel it calls never writes
-    its buffers, and no kernel returns a scratch array.  A thread keeps
-    buffers for one field grid (J, K); a request on another grid drops
-    them, so resident memory stays bounded.  The grid is ``shape[-2:]``
-    unless ``grid_shape`` names it: a spectral buffer of shape
-    (..., J, K//2 + 1) passes the (J, K) of the fields it transforms.
-    """
+
+def _scratch(name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A float64 work array of ``shape``, private to the calling thread and
+    kept in its store under ``(name, shape)``.  Each caller uses names of
+    its own, so a kernel it calls never writes its buffers."""
     try:
         return _SCRATCH.buffers[name, shape]
     except (AttributeError, KeyError):
         pass
-    grid_shape = shape[-2:] if grid_shape is None else grid_shape
-    if getattr(_SCRATCH, "grid_shape", None) != grid_shape:
-        _SCRATCH.grid_shape = grid_shape
-        _SCRATCH.buffers = {}
-    buf = _SCRATCH.buffers[name, shape] = np.empty(shape, dtype)
+    buf = _store(shape[-2:])[name, shape] = np.empty(shape)
     return buf
 
 
-def _periodic_pair(op, a: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
-    """out[k] = op(a[k+1], a[k-1]) along ``axis`` (-1 or -2), periodic.
+class _Stencil:
+    """What the stencil kernels reuse for one (..., J, K) shape.
 
-    ``out`` is C-contiguous.  The interior is one pass over the flat
-    buffers, a neighbour ``shift`` entries away; the first and last index
-    along ``axis``, where that pass reads across a row or layer boundary,
-    are then overwritten with their wrapped neighbours.
+    A pass ``out[k] = op(a[k+1], a[k-1])`` along an axis is three calls,
+    each given here as the (out, next, prev) indices of its operands.  The
+    interior is one call on the flat buffers, a neighbour an entry (x) or
+    a row of K entries (y) away; the first and last index along the axis,
+    where that call reads across a row or layer boundary, are then
+    overwritten from their wrapped neighbours: out[0] = op(a[1], a[-1]) and
+    out[-1] = op(a[0], a[-2]).  Along x those are slices of the flat
+    buffers with stride K, one entry per row; along y, the (..., K) rows.
+    Both edges in one call would iterate a (..., 2, n) view, which numpy
+    copies through a buffer.  The Laplacian's two work arrays are here too.
     """
 
-    def at(index):
-        return (..., index) if axis == -1 else (..., index, slice(None))
+    __slots__ = ("passes", "two_a", "lap_y")
 
-    shift = 1 if axis == -1 else a.shape[-1]
-    flat, res = a.reshape(-1), out.reshape(-1)
-    op(flat[2 * shift :], flat[: -2 * shift], out=res[shift:-shift])
-    op(a[at(1)], a[at(-1)], out=out[at(0)])
-    op(a[at(0)], a[at(-2)], out=out[at(-1)])
+    def __init__(self, shape: tuple[int, ...]):
+        K = shape[-1]
+
+        def col(k):
+            return slice(k % K, None, K)
+
+        def row(j):
+            return (..., j, slice(None))
+
+        self.passes = {
+            -1: ((slice(1, -1), slice(2, None), slice(None, -2)),
+                 ((col(0), col(1), col(-1)), (col(-1), col(0), col(-2)))),
+            -2: ((slice(K, -K), slice(2 * K, None), slice(None, -2 * K)),
+                 ((row(0), row(1), row(-1)), (row(-1), row(0), row(-2)))),
+        }
+        self.two_a = np.empty(shape)
+        self.lap_y = np.empty(shape)
+
+
+def _stencil(shape: tuple[int, ...]) -> _Stencil:
+    """The calling thread's :class:`_Stencil` for ``shape``, built on first use."""
+    try:
+        return _SCRATCH.buffers[shape]
+    except (AttributeError, KeyError):
+        pass
+    stencil = _store(shape[-2:])[shape] = _Stencil(shape)
+    return stencil
+
+
+def _periodic_pair(op, a: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """out[k] = op(a[k+1], a[k-1]) along ``axis`` (-1 or -2), periodic, in
+    the three calls of :class:`_Stencil`; ``out`` is C-contiguous."""
+    (mid, next_, prev), edges = _stencil(a.shape).passes[axis]
+    flat, res = a.ravel(), out.ravel()
+    op(flat[next_], flat[prev], out=res[mid])
+    src, dst = (flat, res) if axis == -1 else (a, out)
+    for edge, next_, prev in edges:
+        op(src[next_], src[prev], out=dst[edge])
     return out
 
 
@@ -291,8 +325,7 @@ def _d1_arr(
     if out is None:
         out = np.empty(a.shape)
     _periodic_pair(np.subtract, a, axis, out)
-    out *= 0.5 / h
-    return out
+    return np.multiply(out, 0.5 / h, out=out)
 
 
 def _d2_arr(
@@ -300,23 +333,85 @@ def _d2_arr(
 ) -> np.ndarray:
     """5-point Laplacian: ((a[k+1] + a[k-1]) - 2a) * (1/h^2), x then y,
     written into ``out`` (a new array if None)."""
-    two_a = np.multiply(a, 2.0, out=_scratch("d2_two_a", a.shape))
+    work = _stencil(a.shape)
+    two_a = np.multiply(a, 2.0, out=work.two_a)
     lap = _periodic_pair(np.add, a, -1, np.empty(a.shape) if out is None else out)
-    lap -= two_a
-    lap *= 1.0 / dx**2
-    lap_y = _periodic_pair(np.add, a, -2, _scratch("d2_lap_y", a.shape))
-    lap_y -= two_a
-    lap_y *= 1.0 / dy**2
-    lap += lap_y
-    return lap
+    np.subtract(lap, two_a, out=lap)
+    np.multiply(lap, 1.0 / dx**2, out=lap)
+    lap_y = _periodic_pair(np.add, a, -2, work.lap_y)
+    np.subtract(lap_y, two_a, out=lap_y)
+    np.multiply(lap_y, 1.0 / dy**2, out=lap_y)
+    return np.add(lap, lap_y, out=lap)
+
+
+class _Plan:
+    """What the kernels on one grid reuse for one (..., J, K) stack shape.
+
+    Built once per thread on first use and kept in the thread's scratch
+    store under ``(grid, shape)``, the full grid with alpha, so a kernel
+    call issues only its ufunc and FFT calls.  It holds the grid's numbers,
+    a two-stack work array (the bracket's difference and product, the
+    Q-solve check's two squares, the two products of a two-level energy),
+    its per-layer sums, and the Q-solve's buffers with their views: the
+    (L*J + L, K) real rows, the mean-free part and the y-means in them, the
+    spectrum, its mean-free rows and its float64 view, and the reciprocal
+    symbol that multiplies that view.
+    """
+
+    __slots__ = (
+        "dx", "dy", "area", "alpha2", "directions",
+        "pair", "pair0", "pair1", "work_layers", "sums", "sums_rows",
+        "J", "rfft", "real", "rest", "rows", "rows_b",
+        "spec", "spec_rest", "spec_f", "recip", "scale", "inv_K",
+    )
+
+    def __init__(self, grid: GridSpec, shape: tuple[int, ...]):
+        J, K = grid.shape
+        lead = shape[:-2]
+        n_rest = math.prod(shape[:-1])
+        layers = n_rest // J
+        self.dx, self.dy, self.area = grid.dx, grid.dy, grid.cell_area
+        self.alpha2 = grid.alpha**2
+        # (component, axis, h) of the bracket's x and y directions.
+        self.directions = ((0, -1, self.dx), (1, -2, self.dy))
+
+        self.pair = np.empty((2,) + shape)
+        self.pair0, self.pair1 = self.pair
+        self.work_layers = tuple(self.pair1)
+        self.sums = np.empty((2,) + lead)
+        self.sums_rows = self.sums.reshape(2, -1)
+
+        self.J = J
+        self.rfft = "rfft_n_even" if K % 2 == 0 else "rfft_n_odd"
+        self.real = np.empty((n_rest + layers, K))
+        self.rest = self.real[:n_rest].reshape(shape)
+        self.rows = self.real[n_rest:].reshape(lead + (K,))
+        self.rows_b = self.rows[..., None, :]
+        self.spec = np.empty((n_rest + layers, K // 2 + 1), np.complex128)
+        self.spec_rest = self.spec[:n_rest].reshape(lead + (J, K // 2 + 1))
+        self.spec_f = self.spec.view(np.float64)
+        self.recip = _helmholtz_symbol(K, J, grid.alpha, layers)
+        self.scale = 1.0 / (J * K)
+        self.inv_K = 1.0 / K
+
+
+def _plan(grid: GridSpec, shape: tuple[int, ...]) -> _Plan:
+    """The calling thread's :class:`_Plan` for ``grid`` and ``shape``."""
+    try:
+        return _SCRATCH.buffers[grid, shape]
+    except (AttributeError, KeyError):
+        pass
+    plan = _store(grid.shape)[grid, shape] = _Plan(grid, shape)
+    return plan
 
 
 def _apply_q_arr(
     a: np.ndarray, grid: GridSpec, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Q a = a - alpha^2 Lap a, written into ``out`` (a new array if None)."""
-    q = _d2_arr(a, grid.dx, grid.dy, out)
-    q *= grid.alpha**2
+    plan = _plan(grid, a.shape)
+    q = _d2_arr(a, plan.dx, plan.dy, out)
+    np.multiply(q, plan.alpha2, out=q)
     return np.subtract(a, q, out=q)
 
 
@@ -340,16 +435,17 @@ def d2(f: ScalarField) -> ScalarField:
 
 @lru_cache(maxsize=32)
 def _helmholtz_symbol(K: int, J: int, alpha: float, layers: int) -> np.ndarray:
-    """Eigenvalues of Q in the rfft2 basis, stacked for the spectrum of a
-    ``layers``-layer Q-solve: shape (layers*J + layers, K//2 + 1).
+    """Reciprocal eigenvalues of Q in the rfft2 basis, laid out to multiply
+    the float64 view of the spectrum of a ``layers``-layer Q-solve: shape
+    (layers*J + layers, 2*(K//2 + 1)).
 
     lambda_{k,j} = 1 + (4 a^2/dx^2) sin^2(pi k/K) + (4 a^2/dy^2) sin^2(pi j/J),
-    all >= 1, so the pointwise divide is unconditionally safe.  The (J,
-    K//2 + 1) block of lambda repeats once per layer, and its k_y = 0 row,
-    the symbol of the y-means, follows once per layer.  The entries are
-    stored as complex128 with zero imaginary part: dividing a spectrum by
-    them in place then needs no casting buffer, and since the cast is exact
-    the quotient has the bits of a divide by the real symbol.
+    all >= 1, so every reciprocal is finite.  The (J, K//2 + 1) block of
+    1/lambda repeats once per layer, and its k_y = 0 row, the symbol of the
+    y-means, follows once per layer; each entry appears twice in a row, for
+    the real and the imaginary part of its spectral entry.  numpy divides a
+    complex number by c + 0j as a multiply by 1.0/c, so the product has the
+    bits of the divide by the symbol, up to the sign of an exact zero.
     """
     dx = 2.0 / K
     dy = 2.0 / J
@@ -357,9 +453,14 @@ def _helmholtz_symbol(K: int, J: int, alpha: float, layers: int) -> np.ndarray:
     sy = np.sin(np.pi * np.arange(J) / J) ** 2
     lam = 1.0 + (4.0 * alpha**2 / dx**2) * sx[None, :] + (4.0 * alpha**2 / dy**2) * sy[:, None]
     stack = np.concatenate((np.tile(lam, (layers, 1)), np.tile(lam[:1], (layers, 1))))
-    stack = stack.astype(np.complex128)
-    stack.setflags(write=False)
-    return stack
+    recip = np.repeat(1.0 / stack, 2, axis=-1)
+    recip.setflags(write=False)
+    return recip
+
+
+# The gufunc axes of a transform along y: the input's, none for the length
+# argument, the output's.
+_Y_AXES = [(-2,), (), (-2,)]
 
 
 def _solve_q_stack_arr(a: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -390,63 +491,55 @@ def _solve_q_stack_arr(a: np.ndarray, grid: GridSpec) -> np.ndarray:
     call each ``numpy.fft`` wrapper ends in, with the same arguments (the
     transform axis as ``axes``; the irfft length K from the shape of its
     output) but without the wrapper's argument handling, which takes close
-    to half of a wrapped call at 20 points.  And it divides the whole
-    spectrum in one call, by the stacked symbol of the same shape, rather
-    than once per layer and once per mean row.
+    to half of a wrapped call at 20 points.  It divides the whole spectrum
+    in one call, as a real multiply of its float64 view by the stacked
+    reciprocal of ``_helmholtz_symbol``, which has the bits of numpy's
+    complex divide up to the sign of an exact zero.  And every buffer,
+    view and number it reuses comes from the thread's :class:`_Plan` for
+    the grid and the stack shape, built on the first call; the gufuncs are
+    looked up on each call.
 
-    Every intermediate lives in per-thread scratch and the returned array
-    is the only one allocated.  Broadcasting operands go through plain
-    assignment, since a broadcasting ufunc call allocates an iterator
-    buffer of up to 64 KiB.
+    The returned array is the only one allocated.  Broadcasting operands
+    go through plain assignment, since a broadcasting ufunc call allocates
+    an iterator buffer of up to 64 KiB.
     """
-    J, K = grid.shape
-    half = K // 2 + 1
-    lead = a.shape[:-2]
-    n_rest = a.size // K
-    n_all = n_rest + n_rest // J
-    symbol = _helmholtz_symbol(K, J, grid.alpha, n_rest // J)
-    rfft = _pocketfft_umath.rfft_n_even if K % 2 == 0 else _pocketfft_umath.rfft_n_odd
-    y_axes = [(-2,), (), (-2,)]
-
-    real = _scratch("qsolve_real", (n_all, K), grid_shape=grid.shape)
-    spec = _scratch("qsolve_spec", (n_all, half), np.complex128, grid.shape)
-    rest = real[:n_rest].reshape(a.shape)
-    rows = real[n_rest:].reshape(lead + (K,))
-    spec_rest = spec[:n_rest].reshape(lead + (J, half))
+    plan = _plan(grid, a.shape)
+    fft = _pocketfft_umath
+    rows, rest = plan.rows, plan.rest
 
     # np.mean's arithmetic without its Python wrapper.
     np.add.reduce(a, axis=-2, out=rows)
-    np.true_divide(rows, J, out=rows)
-    rest[...] = rows[..., None, :]
+    np.true_divide(rows, plan.J, out=rows)
+    rest[...] = plan.rows_b
     np.subtract(a, rest, out=rest)
-    rfft(real, 1.0, out=spec)
-    _pocketfft_umath.fft(spec_rest, 1.0, axes=y_axes, out=spec_rest)
-    spec /= symbol
-    _pocketfft_umath.ifft(spec_rest, 1.0, axes=y_axes, out=spec_rest)
-    _pocketfft_umath.irfft(spec, 1.0, out=real)
-    u = np.multiply(rest, 1.0 / (J * K), out=np.empty(a.shape))
-    rows *= 1.0 / K
-    rest[...] = rows[..., None, :]
-    u += rest
-    return u
+    getattr(fft, plan.rfft)(plan.real, 1.0, out=plan.spec)
+    fft.fft(plan.spec_rest, 1.0, axes=_Y_AXES, out=plan.spec_rest)
+    np.multiply(plan.spec_f, plan.recip, out=plan.spec_f)
+    fft.ifft(plan.spec_rest, 1.0, axes=_Y_AXES, out=plan.spec_rest)
+    fft.irfft(plan.spec, 1.0, out=plan.real)
+    u = np.multiply(rest, plan.scale, out=np.empty(a.shape))
+    np.multiply(rows, plan.inv_K, out=rows)
+    rest[...] = plan.rows_b
+    return np.add(u, rest, out=u)
 
 
 def _solve_q_checked(a: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, float]:
     """Solve and verify: stacked input gives the worst per-layer residual.
 
-    A momentum or residual whose norm is not finite (NaN or infinite
-    entries, or entries too large to square) cannot be verified and is
-    rejected without a residual.
+    The squares of the momentum and of the residual fill the two stacks of
+    the plan's work array, so one reduction sums both.  A momentum or
+    residual whose norm is not finite (NaN or infinite entries, or entries
+    too large to square) cannot be verified and is rejected without a
+    residual.
     """
     u = _solve_q_stack_arr(a, grid)
-    work = _scratch("qcheck_work", a.shape)
-    np.multiply(a, a, out=work)
-    sq_m = np.add.reduce(work, axis=(-2, -1)).ravel().tolist()
-    # The squares are summed, so the same buffer takes the residual.
-    r = _apply_q_arr(u, grid, work)
-    r -= a
-    r *= r
-    sq_r = np.add.reduce(r, axis=(-2, -1)).ravel().tolist()
+    plan = _plan(grid, a.shape)
+    np.multiply(a, a, out=plan.pair0)
+    r = _apply_q_arr(u, grid, plan.pair1)
+    np.subtract(r, a, out=r)
+    np.multiply(r, r, out=r)
+    np.add.reduce(plan.pair, axis=(-2, -1), out=plan.sums)
+    sq_m, sq_r = plan.sums_rows.tolist()
     rel = 0.0
     for nm, nr in zip(map(math.sqrt, sq_m), map(math.sqrt, sq_r)):
         if not (math.isfinite(nm) and math.isfinite(nr)):

@@ -23,12 +23,15 @@ _HEADER = struct.Struct("<4sIIIdd")
 
 
 def write_snapshot(u: FieldPair, t: float, path) -> None:
-    """Write a velocity field and its time stamp to ``path``."""
+    """Write a velocity field and its time stamp to ``path``: the header,
+    then the field's own little-endian buffer, without a bytes copy."""
     grid = u.grid
     header = _HEADER.pack(MAGIC, VERSION, grid.K, grid.J, grid.alpha, float(t))
-    payload = u.values.astype("<f8", copy=False).tobytes()
+    payload = np.ascontiguousarray(u.values, "<f8")
     try:
-        Path(path).write_bytes(header + payload)
+        with open(path, "wb") as f:
+            f.write(header)
+            f.write(payload)
     except OSError as exc:
         raise OSError(f"failed to write snapshot {path}: {exc}") from exc
 

@@ -72,6 +72,14 @@ class BootstrapKind(str, Enum):
     SCHEME1_FIXED_POINT = "scheme1"
 
 
+def _pass_count(value, name: str) -> int:
+    """A corrector pass count as an int; ValueError unless ``value`` is a
+    whole number of at least 1 (``range`` would reject any other mid-run)."""
+    if not (1 <= value < math.inf and int(value) == value):
+        raise ValueError(f"corrector {name} must be an integer of at least 1, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class FixedCount:
     """Run exactly ``count`` corrector passes per step."""
@@ -79,8 +87,7 @@ class FixedCount:
     count: int
 
     def __post_init__(self):
-        if not 1 <= self.count < math.inf:
-            raise ValueError("corrector count must be finite and at least 1")
+        object.__setattr__(self, "count", _pass_count(self.count, "count"))
 
 
 @dataclass(frozen=True)
@@ -94,8 +101,7 @@ class Tolerance:
     def __post_init__(self):
         if not 0.0 < self.rtol < 1.0:
             raise ValueError("corrector rtol must lie in (0, 1)")
-        if not 1 <= self.max_iter < math.inf:
-            raise ValueError("corrector max_iter must be finite and at least 1")
+        object.__setattr__(self, "max_iter", _pass_count(self.max_iter, "max_iter"))
 
 
 CorrectorMode = Union[FixedCount, Tolerance]

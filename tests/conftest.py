@@ -17,6 +17,17 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def same_bits(actual, expected) -> bool:
+    """True when two float64 arrays have one shape and the same bits in
+    every entry.  Compared as uint64 views, -0.0 and +0.0 differ, which
+    np.array_equal treats as equal."""
+    actual = np.asarray(actual, dtype=np.float64)
+    expected = np.asarray(expected, dtype=np.float64)
+    return actual.shape == expected.shape and np.array_equal(
+        actual.view(np.uint64), expected.view(np.uint64)
+    )
+
+
 def random_field(grid: GridSpec, rng) -> ScalarField:
     return ScalarField(grid, rng.standard_normal(grid.shape))
 

@@ -1,6 +1,7 @@
 """Grid geometry, inner products, stencils, and the screened-Laplacian solve."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -39,7 +40,16 @@ from epdiff.grid import (
     _solve_q_stack_arr,
 )
 from epdiff.steppers import _pair_norm
-from conftest import dminus_x, dminus_y, dplus_x, dplus_y, random_field, random_pair, solve_q_dense
+from conftest import (
+    dminus_x,
+    dminus_y,
+    dplus_x,
+    dplus_y,
+    random_field,
+    random_pair,
+    same_bits,
+    solve_q_dense,
+)
 
 # The public constructors that take caller arrays, each fed from a (2, J, K)
 # array.
@@ -472,19 +482,19 @@ class TestKernels:
     def test_match_roll_stencils_bitwise(self, k, j, lead, rng):
         g = GridSpec(k, j, 0.7)
         a = rng.standard_normal(lead + g.shape)
-        assert np.array_equal(_d1_arr(a, -1, g.dx), roll_d1(a, -1, g.dx))
-        assert np.array_equal(_d1_arr(a, -2, g.dy), roll_d1(a, -2, g.dy))
-        assert np.array_equal(_d2_arr(a, g.dx, g.dy), roll_d2(a, g.dx, g.dy))
+        assert same_bits(_d1_arr(a, -1, g.dx), roll_d1(a, -1, g.dx))
+        assert same_bits(_d1_arr(a, -2, g.dy), roll_d1(a, -2, g.dy))
+        assert same_bits(_d2_arr(a, g.dx, g.dy), roll_d2(a, g.dx, g.dy))
         q = a - g.alpha**2 * roll_d2(a, g.dx, g.dy)
-        assert np.array_equal(_apply_q_arr(a, g), q)
+        assert same_bits(_apply_q_arr(a, g), q)
         out = np.empty(a.shape)
         assert _d2_arr(a, g.dx, g.dy, out) is out
-        assert np.array_equal(out, roll_d2(a, g.dx, g.dy))
+        assert same_bits(out, roll_d2(a, g.dx, g.dy))
         assert _apply_q_arr(a, g, out) is out
-        assert np.array_equal(out, q)
+        assert same_bits(out, q)
         if lead:
             v = rng.standard_normal(lead + g.shape)
-            assert np.array_equal(_gamma_arrays(a, v, g), roll_gamma(a, v, g))
+            assert same_bits(_gamma_arrays(a, v, g), roll_gamma(a, v, g))
 
     @pytest.mark.parametrize("alpha", [1.0, 0.1])
     @pytest.mark.parametrize("lead", [(), (2,), (3, 2)], ids=["layer", "stack", "stacks"])
@@ -492,10 +502,45 @@ class TestKernels:
         "k,j", [(3, 3), (5, 7), (7, 5), (33, 17), (17, 33), (160, 160), (250, 250)]
     )
     def test_q_solve_matches_scipy_fft_bitwise(self, k, j, lead, alpha, rng):
+        # Two random stacks (the second on a warm plan), then a y-constant
+        # stack and one whose last layer is zero, as u2 of the sine
+        # benchmark is.  Their spectra hold exact zeros, where a signed
+        # zero would tell a divide and a multiply by the reciprocal apart.
         g = GridSpec(k, j, alpha)
-        for _ in range(2):  # the second call runs on warm scratch
-            a = rng.standard_normal(lead + g.shape)
-            assert np.array_equal(_solve_q_stack_arr(a, g), scipy_solve_q(a, g))
+        inputs = [rng.standard_normal(lead + g.shape) for _ in range(2)]
+        y_constant = np.repeat(rng.standard_normal(lead + (1, k)), j, axis=-2)
+        zero_layer = rng.standard_normal(lead + g.shape)
+        zero_layer.reshape((-1,) + g.shape)[-1] = 0.0
+        for a in inputs + [y_constant, zero_layer]:
+            assert same_bits(_solve_q_stack_arr(a, g), scipy_solve_q(a, g))
+
+    def test_plan_is_keyed_by_the_whole_grid(self, rng):
+        # Two grids of one shape differ only in alpha; a thread that solves
+        # on one, then the other, then the first again gets the bits a
+        # thread that starts afresh gets.
+        grids = [GridSpec(20, 20, 1.0), GridSpec(20, 20, 0.5), GridSpec(20, 20, 1.0)]
+        a = rng.standard_normal((2, 20, 20))
+
+        def fresh(g):
+            out = []
+            thread = threading.Thread(target=lambda: out.append(_solve_q_checked(a, g)[0]))
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            return out[0]
+
+        for g in grids:
+            assert same_bits(_solve_q_checked(a, g)[0], fresh(g)), g
+
+    def test_thread_drops_its_plans_for_another_grid_shape(self, rng):
+        old, new = GridSpec(20, 20, 1.0), GridSpec(24, 16, 1.0)
+        shape = (2,) + old.shape
+        _solve_q_checked(rng.standard_normal(shape), old)
+        assert (old, shape) in grid_module._SCRATCH.buffers
+        _solve_q_checked(rng.standard_normal((2,) + new.shape), new)
+        store = grid_module._SCRATCH.buffers
+        assert (new, (2,) + new.shape) in store
+        assert (old, shape) not in store and shape not in store
 
     def test_warm_q_solve_allocates_only_its_result(self, rng):
         # The spectra and the y-mean split live in per-thread scratch, which

@@ -433,6 +433,14 @@ class TestSnapshots:
         assert np.array_equal(back.c1.values, u.c1.values)
         assert np.array_equal(back.c2.values, u.c2.values)
 
+    def test_file_is_header_then_field_bytes(self, tmp_path, rng):
+        g = GridSpec(7, 5, 0.5)
+        u = random_pair(g, rng)
+        path = tmp_path / "snap.bin"
+        write_snapshot(u, 0.75, path)
+        header = struct.pack("<4sIIIdd", b"EPDF", 1, 7, 5, 0.5, 0.75)
+        assert path.read_bytes() == header + u.values.astype("<f8").tobytes()
+
     def test_header_fields(self, tmp_path, rng):
         g = GridSpec(6, 10, 2.0)
         path = tmp_path / "snap.bin"

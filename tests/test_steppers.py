@@ -81,6 +81,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             Tolerance(1e-14, 0)
 
+    def test_fixed_count_rejects_non_integer(self):
+        # range() would raise TypeError in the middle of a run.
+        with pytest.raises(ValueError, match="integer"):
+            FixedCount(2.5)
+        assert FixedCount(3.0) == FixedCount(3) and type(FixedCount(3.0).count) is int
+
+    def test_tolerance_rejects_non_integer_max_iter(self):
+        with pytest.raises(ValueError, match="integer"):
+            Tolerance(1e-10, 2.5)
+        assert type(Tolerance(1e-10, 20.0).max_iter) is int
+
 
 class TestConstantStateEquilibrium:
     def test_all_steppers_preserve_constants(self):
