@@ -9,6 +9,7 @@ explicit leapfrog schemes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,6 @@ from .grid import (
     FieldPair,
     GridSpec,
     _check_same_grid,
-    _d1_arr,
     _plan,
     apply_q,
     inner,
@@ -87,19 +87,37 @@ def _gamma_arrays(m: np.ndarray, v: np.ndarray, grid: GridSpec) -> np.ndarray:
 
         c1 = m1*d1x(v1) + m2*d1x(v2) + d1x(m1*v1) + d1y(m1*v2)
         c2 = m1*d1y(v1) + m2*d1y(v2) + d1x(m2*v1) + d1y(m2*v2)
+
+    Each pass is the three calls of ``grid._periodic_pair`` followed by its
+    scale, on operands the plan built once: only the views into ``m`` and
+    ``v`` are taken per call.  The products m*v_c go one layer per call, as
+    a call that broadcasts v_c over both layers of m allocates an iterator
+    buffer of up to 64 KiB.
     """
     plan = _plan(grid, m.shape)
     diff, work = plan.pair0, plan.pair1
     work1, work2 = plan.work_layers
+    m1, m2 = m[0], m[1]
+    flat = v.ravel()
     out = np.empty(m.shape)
     # Direction c (x, then y) gives component c its m1*dc(v1) + m2*dc(v2),
     # and then adds dc(m*v_c) to both components.
-    for c, axis, h in plan.directions:
-        np.multiply(m, _d1_arr(v, axis, h, diff), out=work)
+    for c, (axis, scale, ((next_, prev, dst), edges), _) in enumerate(plan.bracket):
+        np.subtract(flat[next_], flat[prev], out=dst)
+        edge_src = flat if axis == -1 else v
+        for next_, prev, dst in edges:
+            np.subtract(edge_src[next_], edge_src[prev], out=dst)
+        np.multiply(diff, scale, out=diff)
+        np.multiply(m, diff, out=work)
         np.add(work1, work2, out=out[c])
-    for c, axis, h in plan.directions:
-        np.multiply(m, v[c], out=work)
-        np.add(out, _d1_arr(work, axis, h, diff), out=out)
+    for c, (_, scale, _, calls) in enumerate(plan.bracket):
+        v_c = v[c]
+        np.multiply(m1, v_c, out=work1)
+        np.multiply(m2, v_c, out=work2)
+        for next_, prev, dst in calls:
+            np.subtract(next_, prev, out=dst)
+        np.multiply(diff, scale, out=diff)
+        np.add(out, diff, out=out)
     return out
 
 
@@ -131,6 +149,22 @@ def _two_level_energy(a: FieldPair, b: FieldPair, c: FieldPair, d: FieldPair) ->
     (ab1, ab2), (cd1, cd2) = plan.sums.tolist()
     area = plan.area
     return 0.25 * (ab1 * area + cd1 * area + ab2 * area + cd2 * area)
+
+
+def _corrector_norms(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> tuple[float, float]:
+    """(||a||, ||a - b||) of two (2, J, K) stacks, a corrector iterate and
+    the one before it, from one reduction: the squares of ``a`` and of
+    ``a - b`` fill the plan's two-stack work array.  Each norm adds its two
+    layer sums of squares, so it has the bits of ``steppers._pair_norm`` of
+    its operand."""
+    plan = _plan(grid, a.shape)
+    np.multiply(a, a, out=plan.pair0)
+    increment = np.subtract(a, b, out=plan.pair1)
+    np.multiply(increment, increment, out=increment)
+    np.add.reduce(plan.pair, axis=(-2, -1), out=plan.sums)
+    (a1, a2), (d1, d2) = plan.sums.tolist()
+    area = plan.area
+    return math.sqrt((a1 + a2) * area), math.sqrt((d1 + d2) * area)
 
 
 def energy_half_scheme2(s_n: State, s_np1: State) -> float:

@@ -259,38 +259,43 @@ def _scratch(name: str, shape: tuple[int, ...]) -> np.ndarray:
     return buf
 
 
-class _Stencil:
-    """What the stencil kernels reuse for one (..., J, K) shape.
+def _pass_indices(K: int) -> dict:
+    """Per axis (-1 for x, -2 for y), the (out, next, prev) indices of the
+    three calls of a stencil pass ``out[k] = op(a[k+1], a[k-1])``: the
+    interior's, then the two edges'.
 
-    A pass ``out[k] = op(a[k+1], a[k-1])`` along an axis is three calls,
-    each given here as the (out, next, prev) indices of its operands.  The
-    interior is one call on the flat buffers, a neighbour an entry (x) or
-    a row of K entries (y) away; the first and last index along the axis,
-    where that call reads across a row or layer boundary, are then
+    The interior is one call on the flat buffers, a neighbour an entry (x)
+    or a row of K entries (y) away; the first and last index along the
+    axis, where that call reads across a row or layer boundary, are then
     overwritten from their wrapped neighbours: out[0] = op(a[1], a[-1]) and
     out[-1] = op(a[0], a[-2]).  Along x those are slices of the flat
-    buffers with stride K, one entry per row; along y, the (..., K) rows.
-    Both edges in one call would iterate a (..., 2, n) view, which numpy
-    copies through a buffer.  The Laplacian's two work arrays are here too.
+    buffers with stride K, one entry per row; along y, the (..., K) rows of
+    the arrays themselves.  Both edges in one call would iterate a
+    (..., 2, n) view, which numpy copies through a buffer.
     """
+
+    def col(k):
+        return slice(k % K, None, K)
+
+    def row(j):
+        return (..., j, slice(None))
+
+    return {
+        -1: ((slice(1, -1), slice(2, None), slice(None, -2)),
+             ((col(0), col(1), col(-1)), (col(-1), col(0), col(-2)))),
+        -2: ((slice(K, -K), slice(2 * K, None), slice(None, -2 * K)),
+             ((row(0), row(1), row(-1)), (row(-1), row(0), row(-2)))),
+    }
+
+
+class _Stencil:
+    """What the stencil kernels reuse for one (..., J, K) shape: the
+    indices of :func:`_pass_indices` and the Laplacian's two work arrays."""
 
     __slots__ = ("passes", "two_a", "lap_y")
 
     def __init__(self, shape: tuple[int, ...]):
-        K = shape[-1]
-
-        def col(k):
-            return slice(k % K, None, K)
-
-        def row(j):
-            return (..., j, slice(None))
-
-        self.passes = {
-            -1: ((slice(1, -1), slice(2, None), slice(None, -2)),
-                 ((col(0), col(1), col(-1)), (col(-1), col(0), col(-2)))),
-            -2: ((slice(K, -K), slice(2 * K, None), slice(None, -2 * K)),
-                 ((row(0), row(1), row(-1)), (row(-1), row(0), row(-2)))),
-        }
+        self.passes = _pass_indices(shape[-1])
         self.two_a = np.empty(shape)
         self.lap_y = np.empty(shape)
 
@@ -307,7 +312,7 @@ def _stencil(shape: tuple[int, ...]) -> _Stencil:
 
 def _periodic_pair(op, a: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     """out[k] = op(a[k+1], a[k-1]) along ``axis`` (-1 or -2), periodic, in
-    the three calls of :class:`_Stencil`; ``out`` is C-contiguous."""
+    the three calls of :func:`_pass_indices`; ``out`` is C-contiguous."""
     (mid, next_, prev), edges = _stencil(a.shape).passes[axis]
     flat, res = a.ravel(), out.ravel()
     op(flat[next_], flat[prev], out=res[mid])
@@ -349,17 +354,26 @@ class _Plan:
 
     Built once per thread on first use and kept in the thread's scratch
     store under ``(grid, shape)``, the full grid with alpha, so a kernel
-    call issues only its ufunc and FFT calls.  It holds the grid's numbers,
-    a two-stack work array (the bracket's difference and product, the
-    Q-solve check's two squares, the two products of a two-level energy),
-    its per-layer sums, and the Q-solve's buffers with their views: the
-    (L*J + L, K) real rows, the mean-free part and the y-means in them, the
-    spectrum, its mean-free rows and its float64 view, and the reciprocal
-    symbol that multiplies that view.
+    call issues its ufunc and FFT calls with little else.  It holds the
+    grid's numbers, a two-stack work array (the bracket's difference and
+    product, the Q-solve check's two squares, the two products of a
+    two-level energy, the corrector's increment and iterate), its per-layer
+    sums, the bracket's stencil passes over that work array, and the
+    Q-solve's buffers with their views: the (L*J + L, K) real rows, the
+    mean-free part and the y-means in them, the spectrum, its mean-free
+    rows and its float64 view, and the reciprocal symbol that multiplies
+    that view.
+
+    ``bracket`` holds the bracket's x and then y direction as (axis,
+    0.5/h, velocity pass, work pass), two passes into ``pair0`` made of the
+    calls of :func:`_pass_indices`.  The velocity pass is the interior
+    call's (next, prev, out) and the two edge calls' (next, prev, out),
+    with next and prev indices into the caller's velocity; the work pass
+    is the three calls' (next, prev, out) views, reading ``pair1``.
     """
 
     __slots__ = (
-        "dx", "dy", "area", "alpha2", "directions",
+        "dx", "dy", "area", "alpha2", "bracket",
         "pair", "pair0", "pair1", "work_layers", "sums", "sums_rows",
         "J", "rfft", "real", "rest", "rows", "rows_b",
         "spec", "spec_rest", "spec_f", "recip", "scale", "inv_K",
@@ -372,14 +386,28 @@ class _Plan:
         layers = n_rest // J
         self.dx, self.dy, self.area = grid.dx, grid.dy, grid.cell_area
         self.alpha2 = grid.alpha**2
-        # (component, axis, h) of the bracket's x and y directions.
-        self.directions = ((0, -1, self.dx), (1, -2, self.dy))
 
         self.pair = np.empty((2,) + shape)
         self.pair0, self.pair1 = self.pair
         self.work_layers = tuple(self.pair1)
         self.sums = np.empty((2,) + lead)
         self.sums_rows = self.sums.reshape(2, -1)
+
+        res, work = self.pair0.ravel(), self.pair1.ravel()
+        passes = _pass_indices(K)
+        bracket = []
+        for axis, h in ((-1, self.dx), (-2, self.dy)):
+            (mid, next_, prev), edges = passes[axis]
+            src, dst = (work, res) if axis == -1 else (self.pair1, self.pair0)
+            velocity_pass = (
+                (next_, prev, res[mid]),
+                tuple((n, p, dst[e]) for e, n, p in edges),
+            )
+            work_pass = ((work[next_], work[prev], res[mid]),) + tuple(
+                (src[n], src[p], dst[e]) for e, n, p in edges
+            )
+            bracket.append((axis, 0.5 / h, velocity_pass, work_pass))
+        self.bracket = tuple(bracket)
 
         self.J = J
         self.rfft = "rfft_n_even" if K % 2 == 0 else "rfft_n_odd"

@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import (
     State,
+    _corrector_norms,
     _gamma_arrays,
     energy_half_scheme2,
     energy_half_scheme3,
@@ -218,10 +219,11 @@ def _finish(
 
 
 def _leapfrog(s_nm1: State, s_n: State, dt: float) -> np.ndarray:
-    """The explicit two-step momentum M_{n-1} - 2 dt Gamma(M_n, U_n), stacked."""
-    return s_nm1.m.values - (2.0 * dt) * _gamma_arrays(
-        s_n.m.values, s_n.u.values, s_n.grid
-    )
+    """The explicit two-step momentum M_{n-1} - 2 dt Gamma(M_n, U_n), stacked
+    in the bracket's fresh result."""
+    m = _gamma_arrays(s_n.m.values, s_n.u.values, s_n.grid)
+    np.multiply(m, 2.0 * dt, out=m)
+    return np.subtract(s_nm1.m.values, m, out=m)
 
 
 def step_scheme2(s_nm1: State, s_n: State, dt: float) -> StepResult:
@@ -258,7 +260,9 @@ def step_scheme3(s_nm1: State, s_n: State, dt: float) -> StepResult:
     m_n = s_n.m.values
 
     # Using the stored momentum for Q u_old keeps the evolved variable exact.
-    b = s_nm1.m.values - dt * _gamma_arrays(m_n, s_nm1.u.values, grid)
+    b = _gamma_arrays(m_n, s_nm1.u.values, grid)
+    np.multiply(b, dt, out=b)
+    np.subtract(s_nm1.m.values, b, out=b)
     norm_b = math.sqrt(np.vdot(b, b))
     # Linear extrapolation from the two known levels is a second-order
     # guess; a zero right-hand side has the zero solution.
@@ -271,7 +275,11 @@ def step_scheme3(s_nm1: State, s_n: State, dt: float) -> StepResult:
     iteration_cap = max(1, math.ceil(10.0 * math.sqrt(b.size)))
     for iters in range(iteration_cap + 1):
         qx = _apply_q_arr(x, grid)
-        r = b - (qx + dt * _gamma_arrays(m_n, x, grid))
+        # r = b - (qx + dt Gamma_n x), in the bracket's fresh result.
+        r = _gamma_arrays(m_n, x, grid)
+        np.multiply(r, dt, out=r)
+        np.add(qx, r, out=r)
+        np.subtract(b, r, out=r)
         norm_r = math.sqrt(np.vdot(r, r))
         if (
             norm_r <= SCHEME3_RTOL * norm_b
@@ -331,27 +339,32 @@ def step_scheme1_pc(
         mp, up = m_n, u_n
 
     mode = cfg.corrector
-    max_passes = mode.count if isinstance(mode, FixedCount) else mode.max_iter
+    tolerance = isinstance(mode, Tolerance)
+    max_passes = mode.max_iter if tolerance else mode.count
     increments = []
-    converged = isinstance(mode, FixedCount)
+    converged = not tolerance
     quarter_dt = 0.25 * dt
-    norm_mc = None
 
     for _ in range(max_passes):
-        mc = m_n - quarter_dt * _gamma_arrays(m_n + mp, u_n + up, grid)
-        # The increment is squared in place, in the norm's own buffer.
-        increment = np.subtract(mc, mp, out=_scratch(_PAIR_NORM_BUFFER, mc.shape))
-        delta = _pair_norm(increment, area)
+        # M_c = M_n - (dt/4) Gamma(M_n + M_p, U_n + U_p), in the bracket's
+        # fresh result.
+        mc = _gamma_arrays(m_n + mp, u_n + up, grid)
+        np.multiply(mc, quarter_dt, out=mc)
+        np.subtract(m_n, mc, out=mc)
+        if tolerance:
+            norm_mc, delta = _corrector_norms(mc, mp, grid)
+        else:
+            # The increment is squared in place, in the norm's own buffer.
+            increment = np.subtract(mc, mp, out=_scratch(_PAIR_NORM_BUFFER, mc.shape))
+            delta = _pair_norm(increment, area)
         increments.append(delta)
         mp = mc
         up = _solve_q_stack_arr(mp, grid)
-        if isinstance(mode, Tolerance):
-            norm_mc = _pair_norm(mc, area)
-            if delta <= mode.rtol * norm_mc:
-                converged = True
-                break
+        if tolerance and delta <= mode.rtol * norm_mc:
+            converged = True
+            break
 
-    if norm_mc is None:
+    if not tolerance:
         norm_mc = _pair_norm(mp, area)
     rel = increments[-1] / norm_mc if norm_mc > 0.0 else 0.0
     if not converged:
@@ -370,20 +383,30 @@ def step_rk4(s_n: State, dt: float) -> StepResult:
     non-conservative reference; it does not preserve the discrete energy.
     """
     grid = s_n.grid
-
-    def f(m: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return -_gamma_arrays(m, u, grid)
-
-    def stage(m: np.ndarray) -> np.ndarray:
-        return f(m, _solve_q_stack_arr(m, grid))
-
     m = s_n.m.values
-    k1 = f(m, s_n.u.values)
-    k2 = stage(m + 0.5 * dt * k1)
-    k3 = stage(m + 0.5 * dt * k2)
-    k4 = stage(m + dt * k3)
 
-    m_new = m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # The stages hold Gamma, the negated slope, and the updates subtract
+    # it.  IEEE defines x - y as x + (-y) and negation is exact, so these
+    # are the bits of adding the slope, up to the sign of an exact zero.
+    def stage(k: np.ndarray, h: float) -> np.ndarray:
+        """Gamma at m - h k, whose momentum is formed in one new array."""
+        m_stage = np.multiply(k, h)
+        np.subtract(m, m_stage, out=m_stage)
+        return _gamma_arrays(m_stage, _solve_q_stack_arr(m_stage, grid), grid)
+
+    k1 = _gamma_arrays(m, s_n.u.values, grid)
+    k2 = stage(k1, 0.5 * dt)
+    k3 = stage(k2, 0.5 * dt)
+    k4 = stage(k3, dt)
+
+    # m - (dt/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right in place.
+    np.multiply(k2, 2.0, out=k2)
+    np.add(k1, k2, out=k2)
+    np.multiply(k3, 2.0, out=k3)
+    np.add(k2, k3, out=k3)
+    m_new = np.add(k3, k4, out=k4)
+    np.multiply(m_new, dt / 6.0, out=m_new)
+    np.subtract(m, m_new, out=m_new)
     u_new, res = _solve_q_checked(m_new, grid)
     return _finish(s_n, dt, u_new, m_new, res)
 

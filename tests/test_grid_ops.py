@@ -478,7 +478,9 @@ def scipy_solve_q(a, g):
 
 class TestKernels:
     @pytest.mark.parametrize("lead", [(), (2,)], ids=["layer", "stack"])
-    @pytest.mark.parametrize("k,j", [(3, 3), (4, 5), (20, 20), (33, 17)])
+    @pytest.mark.parametrize(
+        "k,j", [(3, 3), (3, 8), (8, 3), (4, 5), (20, 20), (33, 17), (64, 63)]
+    )
     def test_match_roll_stencils_bitwise(self, k, j, lead, rng):
         g = GridSpec(k, j, 0.7)
         a = rng.standard_normal(lead + g.shape)
@@ -536,8 +538,11 @@ class TestKernels:
         old, new = GridSpec(20, 20, 1.0), GridSpec(24, 16, 1.0)
         shape = (2,) + old.shape
         _solve_q_checked(rng.standard_normal(shape), old)
+        _gamma_arrays(*rng.standard_normal((2,) + shape), old)
         assert (old, shape) in grid_module._SCRATCH.buffers
-        _solve_q_checked(rng.standard_normal((2,) + new.shape), new)
+        m, v = rng.standard_normal((2, 2) + new.shape)
+        assert same_bits(_gamma_arrays(m, v, new), roll_gamma(m, v, new))
+        _solve_q_checked(m, new)
         store = grid_module._SCRATCH.buffers
         assert (new, (2,) + new.shape) in store
         assert (old, shape) not in store and shape not in store
@@ -576,6 +581,23 @@ class TestKernels:
         finally:
             tracemalloc.stop()
         assert u.nbytes <= peak <= u.nbytes + row_solve
+
+    def test_warm_bracket_allocates_only_its_result(self, rng):
+        # Every view the bracket writes through comes from the plan; a warm
+        # call allocates its result and the views into its operands, a few
+        # hundred bytes each.  A broadcasting product would add an iterator
+        # buffer of up to 64 KiB.
+        g = GridSpec(63, 64, 1.0)
+        m, v = rng.standard_normal((2, 2) + g.shape)
+        _gamma_arrays(m, v, g)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = _gamma_arrays(m, v, g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes <= peak <= out.nbytes + 4096
 
     @pytest.mark.parametrize("lead", [(), (2,)], ids=["layer", "stack"])
     def test_warm_q_solve_makes_four_transform_calls(self, lead, rng, monkeypatch):

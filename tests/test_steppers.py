@@ -41,8 +41,10 @@ from epdiff import (
     step_scheme2,
     step_scheme3,
 )
-from epdiff.steppers import SCHEME3_RESIDUAL_CAP, _bootstrap_result
-from conftest import random_pair, random_state
+from epdiff.core import _corrector_norms, _gamma_arrays
+from epdiff.grid import _solve_q_stack_arr
+from epdiff.steppers import SCHEME3_RESIDUAL_CAP, _bootstrap_result, _pair_norm
+from conftest import random_pair, random_state, same_bits
 
 
 def constant_state(grid, c=1.5, t=0.0):
@@ -360,30 +362,50 @@ class TestScheme1PredictorCorrector:
         assert len(res.corrector_increments) == 4
 
     def test_norms_taken_per_pass(self, monkeypatch):
-        # In tolerance mode each pass takes the norm of its increment and of
-        # its iterate, and the last iterate's norm also scales the reported
-        # increment; a fixed count takes the iterate's norm once, at the end.
+        # In tolerance mode each pass takes the norms of its iterate and of
+        # its increment in one fused call, and the last iterate's norm also
+        # scales the reported increment; a fixed count takes the increment's
+        # norm per pass and the iterate's once, at the end.
         import epdiff.steppers as steppers
 
-        calls = []
+        calls, fused_calls = [], []
         pair_norm = steppers._pair_norm
+        corrector_norms = steppers._corrector_norms
 
         def spy(a, area):
             calls.append(a)
             return pair_norm(a, area)
 
+        def fused_spy(a, b, grid):
+            fused_calls.append(a)
+            return corrector_norms(a, b, grid)
+
         monkeypatch.setattr(steppers, "_pair_norm", spy)
+        monkeypatch.setattr(steppers, "_corrector_norms", fused_spy)
         g = GridSpec(20, 20, 1.0)
         dt = g.dx**2
         s0 = sine_profile(g)
         res = step_scheme1_pc(None, s0, dt, pc_config(dt, Tolerance(1e-14, 200)))
-        assert len(calls) == 2 * res.corrector_iters
+        assert len(fused_calls) == res.corrector_iters
+        assert calls == []
         assert res.linear_solve_residual == res.corrector_increments[-1] / pair_norm(
             res.state.m.values, g.cell_area
         )
-        calls.clear()
+        fused_calls.clear()
         step_scheme1_pc(None, s0, dt, pc_config(dt, FixedCount(3)))
         assert len(calls) == 3 + 1
+        assert fused_calls == []
+
+    @pytest.mark.parametrize("k,j", [(3, 3), (33, 17), (64, 63), (257, 129)])
+    def test_corrector_norms_have_the_bits_of_pair_norm(self, k, j, rng):
+        # The fused pair is exactly (||a||, ||a - b||) as _pair_norm takes
+        # each, with a zero increment among the draws.
+        g = GridSpec(k, j, 1.0)
+        a, b = rng.standard_normal((2, 2) + g.shape)
+        for x, y in ((a, b), (b, a), (a, a.copy()), (1e-3 * a, b), (np.zeros_like(a), b)):
+            norm_x, norm_increment = _corrector_norms(x, y, g)
+            assert norm_x == _pair_norm(x, g.cell_area)
+            assert norm_increment == _pair_norm(x - y, g.cell_area)
 
     def test_converged_step_satisfies_midpoint_relation(self):
         # At the fixed point, (M_new - M_n)/dt = -Gamma(avg m, avg u).
@@ -443,6 +465,24 @@ class TestRK4:
             defects.append(norm(one.u - half.u))
         slope = np.polyfit(np.log(dts), np.log(defects), 1)[0]
         assert slope == pytest.approx(5.0, abs=0.3)
+
+    def test_matches_classical_stages_bitwise(self, rng):
+        # The step keeps Gamma, the negated slope, and subtracts it in
+        # place; the bits are those of the classical stages with -Gamma.
+        g = GridSpec(12, 10, 0.8)
+        dt = 1e-3
+        s0 = random_state(g, rng)
+        m = s0.m.values
+
+        def slope(x):
+            return -_gamma_arrays(x, _solve_q_stack_arr(x, g), g)
+
+        k1 = -_gamma_arrays(m, s0.u.values, g)
+        k2 = slope(m + 0.5 * dt * k1)
+        k3 = slope(m + 0.5 * dt * k2)
+        k4 = slope(m + dt * k3)
+        expected = m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert same_bits(step_rk4(s0, dt).state.m.values, expected)
 
 
 class TestBootstrap:
