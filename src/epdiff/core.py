@@ -88,7 +88,7 @@ def _gamma_arrays(m: np.ndarray, v: np.ndarray, grid: GridSpec) -> np.ndarray:
         c1 = m1*d1x(v1) + m2*d1x(v2) + d1x(m1*v1) + d1y(m1*v2)
         c2 = m1*d1y(v1) + m2*d1y(v2) + d1x(m2*v1) + d1y(m2*v2)
 
-    Each pass is the three calls of ``grid._periodic_pair`` followed by its
+    Each pass is the three calls of ``grid._pass_indices`` followed by its
     scale, on operands the plan built once: only the views into ``m`` and
     ``v`` are taken per call.  The products m*v_c go one layer per call, as
     a call that broadcasts v_c over both layers of m allocates an iterator
@@ -155,8 +155,7 @@ def _corrector_norms(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> tuple[floa
     """(||a||, ||a - b||) of two (2, J, K) stacks, a corrector iterate and
     the one before it, from one reduction: the squares of ``a`` and of
     ``a - b`` fill the plan's two-stack work array.  Each norm adds its two
-    layer sums of squares, so it has the bits of ``steppers._pair_norm`` of
-    its operand."""
+    layer sums of squares, as ``np.sum(x * x, axis=(-2, -1)).sum()`` does."""
     plan = _plan(grid, a.shape)
     np.multiply(a, a, out=plan.pair0)
     increment = np.subtract(a, b, out=plan.pair1)

@@ -231,32 +231,11 @@ def norm(w) -> float:
 # Stencil kernels on raw arrays whose trailing axes are (J, K): the last axis
 # is x (index k), the second-to-last is y (index j).  Leading axes, if any,
 # are batch dimensions.  The kernels allocate only the arrays they return;
-# their temporaries live in per-thread scratch.  They update arrays in place
-# through explicit ufunc calls with ``out``, which skip the slower operator
-# protocol of ``a -= b``.
+# their temporaries live in the calling thread's :class:`_Plan` for the grid
+# and the stack shape.  They update arrays in place through explicit ufunc
+# calls with ``out``, which skip the slower operator protocol of ``a -= b``.
 
-_SCRATCH = threading.local()
-
-
-def _store(grid_shape: tuple[int, int]) -> dict:
-    """The calling thread's scratch store, emptied first when its fields
-    lived on another grid shape (J, K), so resident memory stays bounded."""
-    if getattr(_SCRATCH, "grid_shape", None) != grid_shape:
-        _SCRATCH.grid_shape = grid_shape
-        _SCRATCH.buffers = {}
-    return _SCRATCH.buffers
-
-
-def _scratch(name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """A float64 work array of ``shape``, private to the calling thread and
-    kept in its store under ``(name, shape)``.  Each caller uses names of
-    its own, so a kernel it calls never writes its buffers."""
-    try:
-        return _SCRATCH.buffers[name, shape]
-    except (AttributeError, KeyError):
-        pass
-    buf = _store(shape[-2:])[name, shape] = np.empty(shape)
-    return buf
+_THREAD = threading.local()
 
 
 def _pass_indices(K: int) -> dict:
@@ -288,32 +267,10 @@ def _pass_indices(K: int) -> dict:
     }
 
 
-class _Stencil:
-    """What the stencil kernels reuse for one (..., J, K) shape: the
-    indices of :func:`_pass_indices` and the Laplacian's two work arrays."""
-
-    __slots__ = ("passes", "two_a", "lap_y")
-
-    def __init__(self, shape: tuple[int, ...]):
-        self.passes = _pass_indices(shape[-1])
-        self.two_a = np.empty(shape)
-        self.lap_y = np.empty(shape)
-
-
-def _stencil(shape: tuple[int, ...]) -> _Stencil:
-    """The calling thread's :class:`_Stencil` for ``shape``, built on first use."""
-    try:
-        return _SCRATCH.buffers[shape]
-    except (AttributeError, KeyError):
-        pass
-    stencil = _store(shape[-2:])[shape] = _Stencil(shape)
-    return stencil
-
-
-def _periodic_pair(op, a: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+def _periodic_pair(op, a: np.ndarray, axis: int, out: np.ndarray, plan: _Plan) -> np.ndarray:
     """out[k] = op(a[k+1], a[k-1]) along ``axis`` (-1 or -2), periodic, in
-    the three calls of :func:`_pass_indices`; ``out`` is C-contiguous."""
-    (mid, next_, prev), edges = _stencil(a.shape).passes[axis]
+    the three calls of the plan's ``passes``; ``out`` is C-contiguous."""
+    (mid, next_, prev), edges = plan.passes[axis]
     flat, res = a.ravel(), out.ravel()
     op(flat[next_], flat[prev], out=res[mid])
     src, dst = (flat, res) if axis == -1 else (a, out)
@@ -322,42 +279,37 @@ def _periodic_pair(op, a: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _d1_arr(
-    a: np.ndarray, axis: int, h: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Centered difference (a[k+1] - a[k-1]) * (0.5/h) along ``axis``,
-    written into ``out`` (a new array if None)."""
-    if out is None:
-        out = np.empty(a.shape)
-    _periodic_pair(np.subtract, a, axis, out)
-    return np.multiply(out, 0.5 / h, out=out)
+def _d1_arr(a: np.ndarray, axis: int, plan: _Plan) -> np.ndarray:
+    """Centered difference (a[k+1] - a[k-1]) * (0.5/h) along ``axis``, by
+    ``a``'s plan, as a new array."""
+    out = _periodic_pair(np.subtract, a, axis, np.empty(a.shape), plan)
+    return np.multiply(out, 0.5 / (plan.dx if axis == -1 else plan.dy), out=out)
 
 
-def _d2_arr(
-    a: np.ndarray, dx: float, dy: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """5-point Laplacian: ((a[k+1] + a[k-1]) - 2a) * (1/h^2), x then y,
-    written into ``out`` (a new array if None)."""
-    work = _stencil(a.shape)
-    two_a = np.multiply(a, 2.0, out=work.two_a)
-    lap = _periodic_pair(np.add, a, -1, np.empty(a.shape) if out is None else out)
+def _d2_arr(a: np.ndarray, plan: _Plan, out: np.ndarray | None = None) -> np.ndarray:
+    """5-point Laplacian: ((a[k+1] + a[k-1]) - 2a) * (1/h^2), x then y, by
+    ``a``'s plan, written into ``out`` (a new array if None)."""
+    two_a = np.multiply(a, 2.0, out=plan.two_a)
+    lap = _periodic_pair(np.add, a, -1, np.empty(a.shape) if out is None else out, plan)
     np.subtract(lap, two_a, out=lap)
-    np.multiply(lap, 1.0 / dx**2, out=lap)
-    lap_y = _periodic_pair(np.add, a, -2, work.lap_y)
+    np.multiply(lap, 1.0 / plan.dx**2, out=lap)
+    lap_y = _periodic_pair(np.add, a, -2, plan.lap_y, plan)
     np.subtract(lap_y, two_a, out=lap_y)
-    np.multiply(lap_y, 1.0 / dy**2, out=lap_y)
+    np.multiply(lap_y, 1.0 / plan.dy**2, out=lap_y)
     return np.add(lap, lap_y, out=lap)
 
 
 class _Plan:
-    """What the kernels on one grid reuse for one (..., J, K) stack shape.
+    """What the kernels on one grid reuse for one (..., J, K) stack shape:
+    the only kernel state a thread keeps.
 
-    Built once per thread on first use and kept in the thread's scratch
-    store under ``(grid, shape)``, the full grid with alpha, so a kernel
-    call issues its ufunc and FFT calls with little else.  It holds the
-    grid's numbers, a two-stack work array (the bracket's difference and
+    Built once per thread on first use and kept in the thread's store under
+    ``(grid, shape)``, the full grid with alpha, so a kernel call issues its
+    ufunc and FFT calls with little else.  It holds the grid's numbers, the
+    stencil indices of :func:`_pass_indices` (``passes``), the Laplacian's
+    two work arrays, a two-stack work array (the bracket's difference and
     product, the Q-solve check's two squares, the two products of a
-    two-level energy, the corrector's increment and iterate), its per-layer
+    two-level energy, the corrector's iterate and increment), its per-layer
     sums, the bracket's stencil passes over that work array, and the
     Q-solve's buffers with their views: the (L*J + L, K) real rows, the
     mean-free part and the y-means in them, the spectrum, its mean-free
@@ -366,14 +318,14 @@ class _Plan:
 
     ``bracket`` holds the bracket's x and then y direction as (axis,
     0.5/h, velocity pass, work pass), two passes into ``pair0`` made of the
-    calls of :func:`_pass_indices`.  The velocity pass is the interior
-    call's (next, prev, out) and the two edge calls' (next, prev, out),
-    with next and prev indices into the caller's velocity; the work pass
-    is the three calls' (next, prev, out) views, reading ``pair1``.
+    calls of ``passes``.  The velocity pass is the interior call's (next,
+    prev, out) and the two edge calls' (next, prev, out), with next and
+    prev indices into the caller's velocity; the work pass is the three
+    calls' (next, prev, out) views, reading ``pair1``.
     """
 
     __slots__ = (
-        "dx", "dy", "area", "alpha2", "bracket",
+        "dx", "dy", "area", "alpha2", "passes", "two_a", "lap_y", "bracket",
         "pair", "pair0", "pair1", "work_layers", "sums", "sums_rows",
         "J", "rfft", "real", "rest", "rows", "rows_b",
         "spec", "spec_rest", "spec_f", "recip", "scale", "inv_K",
@@ -386,6 +338,9 @@ class _Plan:
         layers = n_rest // J
         self.dx, self.dy, self.area = grid.dx, grid.dy, grid.cell_area
         self.alpha2 = grid.alpha**2
+        self.passes = passes = _pass_indices(K)
+        self.two_a = np.empty(shape)
+        self.lap_y = np.empty(shape)
 
         self.pair = np.empty((2,) + shape)
         self.pair0, self.pair1 = self.pair
@@ -394,7 +349,6 @@ class _Plan:
         self.sums_rows = self.sums.reshape(2, -1)
 
         res, work = self.pair0.ravel(), self.pair1.ravel()
-        passes = _pass_indices(K)
         bracket = []
         for axis, h in ((-1, self.dx), (-2, self.dy)):
             (mid, next_, prev), edges = passes[axis]
@@ -424,12 +378,17 @@ class _Plan:
 
 
 def _plan(grid: GridSpec, shape: tuple[int, ...]) -> _Plan:
-    """The calling thread's :class:`_Plan` for ``grid`` and ``shape``."""
+    """The calling thread's :class:`_Plan` for ``grid`` and ``shape``, built
+    on first use.  A thread whose plans belong to another grid shape (J, K)
+    drops them first, so resident memory stays bounded."""
     try:
-        return _SCRATCH.buffers[grid, shape]
+        return _THREAD.plans[grid, shape]
     except (AttributeError, KeyError):
         pass
-    plan = _store(grid.shape)[grid, shape] = _Plan(grid, shape)
+    if getattr(_THREAD, "grid_shape", None) != grid.shape:
+        _THREAD.grid_shape = grid.shape
+        _THREAD.plans = {}
+    plan = _THREAD.plans[grid, shape] = _Plan(grid, shape)
     return plan
 
 
@@ -438,24 +397,24 @@ def _apply_q_arr(
 ) -> np.ndarray:
     """Q a = a - alpha^2 Lap a, written into ``out`` (a new array if None)."""
     plan = _plan(grid, a.shape)
-    q = _d2_arr(a, plan.dx, plan.dy, out)
+    q = _d2_arr(a, plan, out)
     np.multiply(q, plan.alpha2, out=q)
     return np.subtract(a, q, out=q)
 
 
 def d1x(f: ScalarField) -> ScalarField:
     """Centered first difference in x with periodic wraparound."""
-    return ScalarField._wrap(f.grid, _d1_arr(f.values, -1, f.grid.dx))
+    return ScalarField._wrap(f.grid, _d1_arr(f.values, -1, _plan(f.grid, f.grid.shape)))
 
 
 def d1y(f: ScalarField) -> ScalarField:
     """Centered first difference in y with periodic wraparound."""
-    return ScalarField._wrap(f.grid, _d1_arr(f.values, -2, f.grid.dy))
+    return ScalarField._wrap(f.grid, _d1_arr(f.values, -2, _plan(f.grid, f.grid.shape)))
 
 
 def d2(f: ScalarField) -> ScalarField:
     """5-point periodic Laplacian."""
-    return ScalarField._wrap(f.grid, _d2_arr(f.values, f.grid.dx, f.grid.dy))
+    return ScalarField._wrap(f.grid, _d2_arr(f.values, _plan(f.grid, f.grid.shape)))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from .grid import (
     FieldPair,
     _apply_q_arr,
     _check_same_grid,
-    _scratch,
     _solve_q_checked,
     _solve_q_stack_arr,
     norm,
@@ -186,19 +185,6 @@ def _require_consecutive(s_nm1: State, s_n: State, dt: float):
         )
 
 
-_PAIR_NORM_BUFFER = "pair_norm_square"
-
-
-def _pair_norm(a: np.ndarray, area: float) -> float:
-    """Grid norm of a (2, J, K) stack: the sum of the two layer sums of
-    squares, as ``np.sum(a * a, axis=(-2, -1)).sum()`` adds them.  The
-    squares go to the scratch buffer ``_PAIR_NORM_BUFFER``, which may hold
-    ``a`` itself."""
-    square = np.multiply(a, a, out=_scratch(_PAIR_NORM_BUFFER, a.shape))
-    first, second = np.add.reduce(square, axis=(-2, -1)).tolist()
-    return math.sqrt((first + second) * area)
-
-
 def _finish(
     s_n: State,
     dt: float,
@@ -324,10 +310,11 @@ def step_scheme1_pc(
     fixed-point map of the implicit scheme, so at convergence the energy and
     both momenta are conserved to the stopping tolerance.  In tolerance mode
     iteration stops when successive momentum iterates agree to ``rtol``
-    relative; exceeding ``max_iter`` raises :class:`NonConvergenceError`.
+    relative; exceeding ``max_iter`` raises :class:`NonConvergenceError`, as
+    does, in either mode, a pass whose iterate or increment norm is not
+    finite.
     """
     grid = s_n.grid
-    area = grid.cell_area
     m_n = s_n.m.values
     u_n = s_n.u.values
 
@@ -342,6 +329,7 @@ def step_scheme1_pc(
     tolerance = isinstance(mode, Tolerance)
     max_passes = mode.max_iter if tolerance else mode.count
     increments = []
+    rel = None
     converged = not tolerance
     quarter_dt = 0.25 * dt
 
@@ -351,22 +339,22 @@ def step_scheme1_pc(
         mc = _gamma_arrays(m_n + mp, u_n + up, grid)
         np.multiply(mc, quarter_dt, out=mc)
         np.subtract(m_n, mc, out=mc)
-        if tolerance:
-            norm_mc, delta = _corrector_norms(mc, mp, grid)
-        else:
-            # The increment is squared in place, in the norm's own buffer.
-            increment = np.subtract(mc, mp, out=_scratch(_PAIR_NORM_BUFFER, mc.shape))
-            delta = _pair_norm(increment, area)
+        norm_mc, delta = _corrector_norms(mc, mp, grid)
+        if not (math.isfinite(norm_mc) and math.isfinite(delta)):
+            # An overflowed iterate would read inf <= inf as converged.
+            raise NonConvergenceError(
+                f"corrector diverged: pass {len(increments) + 1} has a "
+                "non-finite iterate or increment norm",
+                residual=rel,
+            )
         increments.append(delta)
+        rel = delta / norm_mc if norm_mc > 0.0 else 0.0
         mp = mc
         up = _solve_q_stack_arr(mp, grid)
         if tolerance and delta <= mode.rtol * norm_mc:
             converged = True
             break
 
-    if not tolerance:
-        norm_mc = _pair_norm(mp, area)
-    rel = increments[-1] / norm_mc if norm_mc > 0.0 else 0.0
     if not converged:
         raise NonConvergenceError(
             f"corrector did not reach rtol={mode.rtol:.1e} within "

@@ -708,3 +708,24 @@ class TestExitCodes:
         entry = summary["schemes"]["scheme2"]
         assert entry["status"] == "failed"
         assert isinstance(entry["failed_step"], int) and entry["failed_step"] >= 1
+
+    def test_overflowing_corrector_fails_its_first_step(self, tmp_path):
+        # The scheme1 bootstrap on the 3x3 sine overflows its corrector
+        # norms within step 1; that step fails with the last finite
+        # relative increment, in a summary that is strict JSON.
+        def reject(constant):
+            raise AssertionError(f"summary.json holds {constant}")
+
+        with np.errstate(all="ignore"):
+            code = run_cli(
+                "run", "--grid", "3", "--profile", "sine",
+                "--dt", "0.4444444444444444", "--t-final", "1.3333333333333333",
+                "--scheme", "scheme1", "--bootstrap", "scheme1", "--out", str(tmp_path),
+            )
+        assert code == 1
+        text = (tmp_path / "summary.json").read_text()
+        summary = json.loads(text, parse_constant=reject)
+        entry = summary["schemes"]["scheme1"]
+        assert entry["status"] == "failed"
+        assert entry["failed_step"] == 1
+        assert math.isfinite(entry["residual"]) and entry["residual"] != 0.0

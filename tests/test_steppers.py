@@ -43,8 +43,13 @@ from epdiff import (
 )
 from epdiff.core import _corrector_norms, _gamma_arrays
 from epdiff.grid import _solve_q_stack_arr
-from epdiff.steppers import SCHEME3_RESIDUAL_CAP, _bootstrap_result, _pair_norm
+from epdiff.steppers import SCHEME3_RESIDUAL_CAP, _bootstrap_result
 from conftest import random_pair, random_state, same_bits
+
+
+def ref_pair_norm(a, g):
+    """Grid norm of a (2, J, K) stack through numpy's own sum."""
+    return math.sqrt(np.sum(a * a, axis=(-2, -1)).sum() * g.cell_area)
 
 
 def constant_state(grid, c=1.5, t=0.0):
@@ -351,6 +356,38 @@ def test_package_imports_are_top_level_and_acyclic():
     tuple(graphlib.TopologicalSorter(graph).static_order())
 
 
+# (importer, sibling, name) of every underscore name a package module imports
+# from a sibling.  The list only shrinks: a new private import fails, and so
+# does a removal until its entry goes.
+PRIVATE_IMPORTS = [
+    ("core", "grid", "_check_same_grid"),
+    ("core", "grid", "_plan"),
+    ("steppers", "core", "_corrector_norms"),
+    ("steppers", "grid", "_check_same_grid"),
+    # The benchmark's tracer (perfbench/tracing.py) wraps these four by name
+    # in epdiff.steppers.
+    ("steppers", "core", "_gamma_arrays"),
+    ("steppers", "grid", "_apply_q_arr"),
+    ("steppers", "grid", "_solve_q_checked"),
+    ("steppers", "grid", "_solve_q_stack_arr"),
+]
+
+
+def test_private_imports_across_modules_only_shrink():
+    import epdiff
+
+    found = []
+    for path in sorted(Path(epdiff.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += [
+                    (path.stem, node.module, alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert sorted(found) == sorted(PRIVATE_IMPORTS)
+
+
 class TestScheme1PredictorCorrector:
     def test_fixed_count_runs_exactly_n_passes(self, rng):
         g = GridSpec(10, 10, 1.0)
@@ -362,50 +399,56 @@ class TestScheme1PredictorCorrector:
         assert len(res.corrector_increments) == 4
 
     def test_norms_taken_per_pass(self, monkeypatch):
-        # In tolerance mode each pass takes the norms of its iterate and of
-        # its increment in one fused call, and the last iterate's norm also
-        # scales the reported increment; a fixed count takes the increment's
-        # norm per pass and the iterate's once, at the end.
+        # Both modes take the norms of each pass's iterate and increment in
+        # one call, and no other norm; the last pass's pair gives the
+        # reported relative increment.
         import epdiff.steppers as steppers
 
-        calls, fused_calls = [], []
-        pair_norm = steppers._pair_norm
+        calls = []
         corrector_norms = steppers._corrector_norms
 
-        def spy(a, area):
-            calls.append(a)
-            return pair_norm(a, area)
+        def spy(a, b, grid):
+            calls.append(corrector_norms(a, b, grid))
+            return calls[-1]
 
-        def fused_spy(a, b, grid):
-            fused_calls.append(a)
-            return corrector_norms(a, b, grid)
+        def refuse(*args, **kwargs):
+            raise AssertionError("the corrector took another norm")
 
-        monkeypatch.setattr(steppers, "_pair_norm", spy)
-        monkeypatch.setattr(steppers, "_corrector_norms", fused_spy)
+        monkeypatch.setattr(steppers, "_corrector_norms", spy)
+        monkeypatch.setattr(steppers, "norm", refuse)
         g = GridSpec(20, 20, 1.0)
         dt = g.dx**2
-        s0 = sine_profile(g)
-        res = step_scheme1_pc(None, s0, dt, pc_config(dt, Tolerance(1e-14, 200)))
-        assert len(fused_calls) == res.corrector_iters
-        assert calls == []
-        assert res.linear_solve_residual == res.corrector_increments[-1] / pair_norm(
-            res.state.m.values, g.cell_area
-        )
-        fused_calls.clear()
-        step_scheme1_pc(None, s0, dt, pc_config(dt, FixedCount(3)))
-        assert len(calls) == 3 + 1
-        assert fused_calls == []
+        for mode in (Tolerance(1e-14, 200), FixedCount(3)):
+            calls.clear()
+            res = step_scheme1_pc(None, sine_profile(g), dt, pc_config(dt, mode))
+            assert len(calls) == res.corrector_iters, mode
+            assert res.corrector_increments == tuple(delta for _, delta in calls)
+            norm_m = ref_pair_norm(res.state.m.values, g)
+            assert calls[-1][0] == norm_m
+            assert res.linear_solve_residual == res.corrector_increments[-1] / norm_m
 
     @pytest.mark.parametrize("k,j", [(3, 3), (33, 17), (64, 63), (257, 129)])
     def test_corrector_norms_have_the_bits_of_pair_norm(self, k, j, rng):
-        # The fused pair is exactly (||a||, ||a - b||) as _pair_norm takes
-        # each, with a zero increment among the draws.
+        # The fused pair is exactly (||a||, ||a - b||) as the test-local
+        # grid norm takes each, with a zero increment and a zero iterate
+        # among the draws.
         g = GridSpec(k, j, 1.0)
         a, b = rng.standard_normal((2, 2) + g.shape)
         for x, y in ((a, b), (b, a), (a, a.copy()), (1e-3 * a, b), (np.zeros_like(a), b)):
             norm_x, norm_increment = _corrector_norms(x, y, g)
-            assert norm_x == _pair_norm(x, g.cell_area)
-            assert norm_increment == _pair_norm(x - y, g.cell_area)
+            assert norm_x == ref_pair_norm(x, g)
+            assert norm_increment == ref_pair_norm(x - y, g)
+
+    def test_overflowing_corrector_raises_with_its_last_finite_residual(self):
+        # On the 3x3 sine at dt = dx^2 the iterates grow until their norms
+        # overflow; inf <= rtol * inf must not pass for convergence.
+        g = GridSpec(3, 3, 1.0)
+        dt = 4.0 / 9.0
+        with np.errstate(all="ignore"), pytest.raises(NonConvergenceError) as info:
+            step_scheme1_pc(None, sine_profile(g), dt, SchemeConfig(SchemeKind.SCHEME1_PC, dt))
+        residual = info.value.residual
+        assert math.isfinite(residual) and residual > 0.0
+        assert "non-finite" in str(info.value)
 
     def test_converged_step_satisfies_midpoint_relation(self):
         # At the fixed point, (M_new - M_n)/dt = -Gamma(avg m, avg u).
@@ -688,7 +731,7 @@ class TestIntegrate:
         assert calls == {"step": n - 1, "energy": n}
 
     def test_threads_match_sequential_runs(self, rng):
-        # The kernels' scratch is per thread: runs at once on one grid, more
+        # The kernels' plans are per thread: runs at once on one grid, more
         # of them than cores and switching often, must each give the bits of
         # the same run alone.
         g = GridSpec(64, 64, 0.5)
