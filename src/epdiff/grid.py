@@ -13,7 +13,9 @@ operator ``Q = 1 - alpha^2 * Lap`` together with its spectral inverse.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -68,6 +70,12 @@ class GridSpec:
             raise ValueError(f"grid must be at least 3x3, got {self.K}x{self.J}")
         if not 0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        # Every kernel call looks its plan up by grid: hash the fields once,
+        # as the dataclass's __hash__ would on each lookup.
+        object.__setattr__(self, "_hash", hash((self.K, self.J, self.alpha)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dx(self) -> float:
@@ -234,8 +242,21 @@ def norm(w) -> float:
 # their temporaries live in the calling thread's :class:`_Plan` for the grid
 # and the stack shape.  They update arrays in place through explicit ufunc
 # calls with ``out``, which skip the slower operator protocol of ``a -= b``.
+#
+# The two layers of a (2, J, K) stack are independent in every stacked
+# kernel.  From _SPLIT_POINTS points per layer, a stack's plan splits: each
+# kernel call runs layer 0 (component 0 of the bracket) on one helper thread
+# and layer 1 on the calling thread, each on its own thread's (J, K) plan,
+# with the bits of the stacked call.
 
 _THREAD = threading.local()
+
+# Points per layer from which a (2, J, K) stack splits.  Each numpy call of
+# a split layer waits of the order of 10 us for the interpreter lock, so a
+# split pays only once a layer's calls take longer: on a 2-core host, steps
+# of scheme1, scheme2, scheme3 and rk4 ran 1.1 to 1.6 times as long split at
+# 112^2 and 0.8 to 1.0 times at 128^2 (see CHANGES.md).
+_SPLIT_POINTS = 128 * 128
 
 
 def _pass_indices(K: int) -> dict:
@@ -299,6 +320,88 @@ def _d2_arr(a: np.ndarray, plan: _Plan, out: np.ndarray | None = None) -> np.nda
     return np.add(lap, lap_y, out=lap)
 
 
+class _Helper:
+    """The one daemon thread that runs layer 0 of a split kernel call.
+
+    ``helper(fn, *args)`` returns ``(fn(0, *args), fn(1, *args))``.  A
+    caller that finds the helper idle hands it layer 0, runs layer 1 itself
+    and waits for layer 0 before it returns or raises; one that finds it
+    busy with another caller's layer runs both itself.  Layer 0 runs in a
+    copy of the caller's context, so numpy's error state around the call
+    holds for both layers.  A job may not call a name that a profiler can
+    wrap: one traced span per stacked call, on the calling thread.
+    """
+
+    def __init__(self):
+        self.idle = threading.Lock()
+        self.go = threading.Lock()
+        self.done = threading.Lock()
+        self.go.acquire()
+        self.done.acquire()
+        self.job = self.result = None
+        threading.Thread(target=self._serve, name="epdiff-layer-0", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            self.go.acquire()
+            context, fn, args = self.job
+            try:
+                self.result = context.run(fn, 0, *args), None
+            except BaseException as exc:  # handed to the caller, which raises it
+                self.result = None, exc
+            self.done.release()
+
+    def __call__(self, fn, *args):
+        if not self.idle.acquire(blocking=False):
+            return fn(0, *args), fn(1, *args)
+        self.job = contextvars.copy_context(), fn, args
+        self.go.release()
+        try:
+            second = fn(1, *args)
+        finally:
+            # Interrupted here, the helper stays marked busy for good.
+            self.done.acquire()
+            first, error = self.result
+            self.job = self.result = None
+            self.idle.release()
+        if error is not None:
+            raise error
+        return first, second
+
+
+_HELPER = None
+_HELPER_START = threading.Lock()
+
+
+def _forget_helper():
+    """In a forked child, where the helper thread does not exist."""
+    global _HELPER, _HELPER_START
+    _HELPER, _HELPER_START = None, threading.Lock()
+
+
+def _split(fn, *args):
+    """The split of a stack's plan: ``(fn(0, *args), fn(1, *args))`` through
+    the helper, which the first call starts."""
+    global _HELPER
+    if _HELPER is None:
+        with _HELPER_START:
+            if _HELPER is None:
+                os.register_at_fork(after_in_child=_forget_helper)
+                _HELPER = _Helper()
+    return _HELPER(fn, *args)
+
+
+def _square_sums(i, a, b, grid):
+    """[sum(a*a), sum((a - b)**2)] over layer ``i`` of two (2, J, K)
+    stacks, on the thread's (J, K) plan."""
+    plan = _plan(grid, grid.shape)
+    np.multiply(a[i], a[i], out=plan.pair0)
+    d = np.subtract(a[i], b[i], out=plan.pair1)
+    np.multiply(d, d, out=d)
+    np.add.reduce(plan.pair, axis=(-2, -1), out=plan.sums)
+    return plan.sums.tolist()
+
+
 class _Plan:
     """What the kernels on one grid reuse for one (..., J, K) stack shape:
     the only kernel state a thread keeps.
@@ -322,10 +425,16 @@ class _Plan:
     prev, out) and the two edge calls' (next, prev, out), with next and
     prev indices into the caller's velocity; the work pass is the three
     calls' (next, prev, out) views, reading ``pair1``.
+
+    ``split`` is None, or for a (2, J, K) stack of at least _SPLIT_POINTS
+    points per layer the runner that calls a layer function on both layers
+    at once.  Such a plan keeps no buffer but ``pair1``, where a checked
+    solve puts Q u: every kernel runs its layers on the threads' (J, K)
+    plans.
     """
 
     __slots__ = (
-        "dx", "dy", "area", "alpha2", "passes", "two_a", "lap_y", "bracket",
+        "split", "dx", "dy", "area", "alpha2", "passes", "two_a", "lap_y", "bracket",
         "pair", "pair0", "pair1", "work_layers", "sums", "sums_rows",
         "J", "rfft", "real", "rest", "rows", "rows_b",
         "spec", "spec_rest", "spec_f", "recip", "scale", "inv_K",
@@ -338,6 +447,11 @@ class _Plan:
         layers = n_rest // J
         self.dx, self.dy, self.area = grid.dx, grid.dy, grid.cell_area
         self.alpha2 = grid.alpha**2
+        self.split = None
+        if lead == (2,) and J * K >= _SPLIT_POINTS:
+            self.split = _split
+            self.pair1 = np.empty(shape)
+            return
         self.passes = passes = _pass_indices(K)
         self.two_a = np.empty(shape)
         self.lap_y = np.empty(shape)
@@ -376,6 +490,11 @@ class _Plan:
         self.scale = 1.0 / (J * K)
         self.inv_K = 1.0 / K
 
+    def square_sums(self, a, b, grid):
+        """Per layer of a split plan's stacks ``a`` and ``b``,
+        [sum(a*a), sum((a - b)**2)], the layers on their own threads."""
+        return self.split(_square_sums, a, b, grid)
+
 
 def _plan(grid: GridSpec, shape: tuple[int, ...]) -> _Plan:
     """The calling thread's :class:`_Plan` for ``grid`` and ``shape``, built
@@ -397,6 +516,10 @@ def _apply_q_arr(
 ) -> np.ndarray:
     """Q a = a - alpha^2 Lap a, written into ``out`` (a new array if None)."""
     plan = _plan(grid, a.shape)
+    if plan.split is not None:
+        out = np.empty(a.shape) if out is None else out
+        plan.split(_layer, _APPLY_Q, a, grid, out)
+        return out
     q = _d2_arr(a, plan, out)
     np.multiply(q, plan.alpha2, out=q)
     return np.subtract(a, q, out=q)
@@ -450,8 +573,11 @@ def _helmholtz_symbol(K: int, J: int, alpha: float, layers: int) -> np.ndarray:
 _Y_AXES = [(-2,), (), (-2,)]
 
 
-def _solve_q_stack_arr(a: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Spectral Q-solve of a (..., J, K) stack of fields in one pass.
+def _solve_q_stack_arr(
+    a: np.ndarray, grid: GridSpec, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Spectral Q-solve of a (..., J, K) stack of fields in one pass,
+    written into ``out`` (a new array if None).
 
     The y-mean is split off and solved with the 1D (k_y = 0) symbol so that
     input constant in y stays bitwise constant in y; the mixed-radix stages
@@ -491,6 +617,10 @@ def _solve_q_stack_arr(a: np.ndarray, grid: GridSpec) -> np.ndarray:
     an iterator buffer of up to 64 KiB.
     """
     plan = _plan(grid, a.shape)
+    if plan.split is not None:
+        out = np.empty(a.shape) if out is None else out
+        plan.split(_layer, _SOLVE_Q, a, grid, out)
+        return out
     fft = _pocketfft_umath
     rows, rest = plan.rows, plan.rest
 
@@ -504,7 +634,7 @@ def _solve_q_stack_arr(a: np.ndarray, grid: GridSpec) -> np.ndarray:
     np.multiply(plan.spec_f, plan.recip, out=plan.spec_f)
     fft.ifft(plan.spec_rest, 1.0, axes=_Y_AXES, out=plan.spec_rest)
     fft.irfft(plan.spec, 1.0, out=plan.real)
-    u = np.multiply(rest, plan.scale, out=np.empty(a.shape))
+    u = np.multiply(rest, plan.scale, out=np.empty(a.shape) if out is None else out)
     np.multiply(rows, plan.inv_K, out=rows)
     rest[...] = plan.rows_b
     return np.add(u, rest, out=u)
@@ -514,19 +644,23 @@ def _solve_q_checked(a: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, float]:
     """Solve and verify: stacked input gives the worst per-layer residual.
 
     The squares of the momentum and of the residual fill the two stacks of
-    the plan's work array, so one reduction sums both.  A momentum or
+    the plan's work array, so one reduction sums both (one per layer and
+    thread on a split plan).  A momentum or
     residual whose norm is not finite (NaN or infinite entries, or entries
     too large to square) cannot be verified and is rejected without a
     residual.
     """
     u = _solve_q_stack_arr(a, grid)
     plan = _plan(grid, a.shape)
-    np.multiply(a, a, out=plan.pair0)
     r = _apply_q_arr(u, grid, plan.pair1)
-    np.subtract(r, a, out=r)
-    np.multiply(r, r, out=r)
-    np.add.reduce(plan.pair, axis=(-2, -1), out=plan.sums)
-    sq_m, sq_r = plan.sums_rows.tolist()
+    if plan.split is not None:
+        sq_m, sq_r = zip(*plan.square_sums(a, r, grid))
+    else:
+        np.multiply(a, a, out=plan.pair0)
+        np.subtract(r, a, out=r)
+        np.multiply(r, r, out=r)
+        np.add.reduce(plan.pair, axis=(-2, -1), out=plan.sums)
+        sq_m, sq_r = plan.sums_rows.tolist()
     rel = 0.0
     for nm, nr in zip(map(math.sqrt, sq_m), map(math.sqrt, sq_r)):
         if not (math.isfinite(nm) and math.isfinite(nr)):
@@ -541,6 +675,16 @@ def _solve_q_checked(a: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, float]:
             residual=rel,
         )
     return u, rel
+
+
+def _layer(i, kernel, a, grid, out):
+    """Layer ``i`` of a split solve or apply-Q: ``kernel`` on the (J, K)
+    layer, which never splits."""
+    kernel(a[i], grid, out[i])
+
+
+# The functions themselves, not the module names a profiler may wrap.
+_APPLY_Q, _SOLVE_Q = _apply_q_arr, _solve_q_stack_arr
 
 
 def apply_q(u):

@@ -1,8 +1,13 @@
 """Grid geometry, inner products, stencils, and the screened-Laplacian solve."""
 
 import math
+import os
+import subprocess
+import sys
 import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +41,7 @@ from epdiff.core import (
     State,
     _corrector_norms,
     _gamma_arrays,
+    _two_level_energy,
     energy_half_scheme2,
     energy_half_scheme3,
     energy_scheme1,
@@ -97,6 +103,15 @@ class TestGridSpec:
     def test_equality_is_by_geometry(self):
         assert GridSpec(8, 8, 0.5) == GridSpec(8, 8, 0.5)
         assert GridSpec(8, 8, 0.5) != GridSpec(8, 8, 0.25)
+
+    def test_hash_is_that_of_the_normalised_fields(self):
+        # The hash is taken once, of the fields as the dataclass's own
+        # __hash__ would take it; it is no field, so repr and equality
+        # stay those of (K, J, alpha).
+        g = GridSpec(8.0, 6, 1)
+        assert hash(g) == hash((8, 6, 1.0)) == hash(GridSpec(8, 6, 1.0))
+        assert g == GridSpec(8, 6, 1.0) and {g: 1}[GridSpec(8, 6, 1.0)] == 1
+        assert repr(g) == "GridSpec(K=8, J=6, alpha=1.0)"
 
 
 class TestFields:
@@ -738,6 +753,109 @@ class TestKernels:
                 second = kernel(w)
                 assert not np.shares_memory(first, second), (name, g)
                 assert np.array_equal(first, kept), (name, g)
+
+
+def layer_by_layer(kernel, a, g):
+    """A stacked kernel's result taken one (J, K) layer at a time."""
+    return np.stack([kernel(layer, g) for layer in a])
+
+
+class TestSplitKernels:
+    # A (2, J, K) stack of at least _SPLIT_POINTS points per layer runs its
+    # layers on two threads; (127, 129) has one point fewer.
+    @pytest.mark.parametrize(
+        "k,j,split",
+        [(128, 128, True), (129, 129, True), (192, 96, True), (97, 169, True),
+         (127, 129, False)],
+    )
+    def test_have_the_bits_of_layer_calls(self, k, j, split, rng):
+        g = GridSpec(k, j, 0.3)
+        assert (k * j >= grid_module._SPLIT_POINTS) == split
+        assert (_plan(g, (2,) + g.shape).split is not None) == split
+        a, b, m, v = rng.standard_normal((4, 2) + g.shape)
+        a[0, 3, 5] = b[1, 0, 0] = -0.0
+        area = g.cell_area
+
+        for velocity in (v, np.zeros_like(v)):
+            assert same_bits(_gamma_arrays(m, velocity, g), roll_gamma(m, velocity, g))
+        assert same_bits(_solve_q_stack_arr(a, g), layer_by_layer(_solve_q_stack_arr, a, g))
+        assert same_bits(_apply_q_arr(a, g), layer_by_layer(_apply_q_arr, a, g))
+        u, rel = _solve_q_checked(a, g)
+        alone = [_solve_q_checked(layer, g) for layer in a]
+        assert same_bits(u, np.stack([u_i for u_i, _ in alone]))
+        assert rel == max(rel_i for _, rel_i in alone)
+
+        def sums(x, y):
+            return [float(np.add.reduce(x[i] * y[i], axis=(-2, -1))) for i in (0, 1)]
+
+        d = a - b
+        (a1, a2), (d1, d2) = sums(a, a), sums(d, d)
+        assert _corrector_norms(a, b, g) == (
+            math.sqrt((a1 + a2) * area), math.sqrt((d1 + d2) * area)
+        )
+        (ab1, ab2), (mv1, mv2) = sums(a, b), sums(m, v)
+        pairs = [FieldPair.from_arrays(g, *x) for x in (a, b, m, v)]
+        assert _two_level_energy(*pairs) == 0.25 * (
+            ab1 * area + mv1 * area + ab2 * area + mv2 * area
+        )
+
+    def test_non_finite_layer_0_fails_the_check_and_the_next_call_runs(self, rng):
+        # Layer 0 runs on the helper thread; its failure is the check's, as
+        # on one thread, and leaves the helper ready for the next call.
+        g = GridSpec(128, 128, 0.3)
+        a = rng.standard_normal((2,) + g.shape)
+        bad = a.copy()
+        bad[0, 7, 9] = np.nan
+        with np.errstate(all="ignore"), pytest.raises(NumericalFailureError) as err:
+            _solve_q_checked(bad, g)
+        assert str(err.value) == "Helmholtz solve momentum or residual norm is not finite"
+        assert err.value.residual is None
+        assert same_bits(_solve_q_checked(a, g)[0], layer_by_layer(_solve_q_stack_arr, a, g))
+
+    def test_an_error_in_layer_0_reaches_the_caller(self, rng):
+        # The helper runs layer 0 under the caller's numpy error state, and
+        # the caller raises what layer 0 raised once both layers are done.
+        g = GridSpec(128, 128, 0.3)
+        a = rng.standard_normal((2,) + g.shape)
+        huge = a.copy()
+        huge[0, 4, 4] = 1e308
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            _apply_q_arr(huge, g)
+        assert same_bits(_apply_q_arr(a, g), layer_by_layer(_apply_q_arr, a, g))
+
+    def test_forked_child_splits_without_the_parents_helper(self, rng):
+        # A forked child has no helper thread; its first split starts one.
+        g = GridSpec(128, 128, 0.3)
+        a = rng.standard_normal((2,) + g.shape)
+        expected = layer_by_layer(_solve_q_stack_arr, a, g)
+        _solve_q_stack_arr(a, g)
+        pid = os.fork()
+        if pid == 0:
+            code = 2
+            try:
+                code = 0 if same_bits(_solve_q_stack_arr(a, g), expected) else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish its split solve")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status[1]) == 0
+
+    def test_importing_the_package_starts_no_thread(self):
+        src = Path(grid_module.__file__).resolve().parent.parent
+        code = (
+            "import sys, threading; sys.path.insert(0, sys.argv[1]); "
+            "import epdiff, epdiff.cli; print(threading.active_count())"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(src)],
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert proc.stdout.split() == ["1"]
 
 
 # Worst |<Gamma(m, v), v>| / (||m|| ||v||^2 / sqrt(dx dy)) over 3000 numpy

@@ -5,6 +5,8 @@ import json
 import math
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -485,6 +487,22 @@ def run_cli(*args) -> int:
     return main(list(args))
 
 
+def run_cli_process(*args, threads=False) -> subprocess.CompletedProcess:
+    """``epdiff`` with ``args`` in a fresh interpreter; with ``threads``, it
+    prints the names of the threads alive when the command returns."""
+    src = Path(run_command.__code__.co_filename).resolve().parent.parent
+    code = (
+        "import sys, threading; sys.path.insert(0, sys.argv[1]); "
+        "from epdiff.cli import main; code = main(sys.argv[2:]); "
+        + ("print(*(t.name for t in threading.enumerate())); " if threads else "")
+        + "sys.exit(code)"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code, str(src), *args],
+        capture_output=True, text=True, timeout=120,
+    )
+
+
 class TestConserveCommand:
     def test_writes_csv_and_summary(self, tmp_path):
         code = run_cli(
@@ -729,3 +747,28 @@ class TestExitCodes:
         assert entry["status"] == "failed"
         assert entry["failed_step"] == 1
         assert math.isfinite(entry["residual"]) and entry["residual"] != 0.0
+
+    def test_overflowing_corrector_prints_no_warning(self, tmp_path):
+        # The corrector squares its diverging iterate past the largest
+        # float; the failure record says so, and numpy's overflow warning
+        # would only repeat it.
+        proc = run_cli_process(
+            "run", "--grid", "3", "--profile", "sine",
+            "--dt", "0.4444444444444444", "--t-final", "1.3333333333333333",
+            "--scheme", "scheme1", "--bootstrap", "scheme1", "--out", str(tmp_path),
+        )
+        assert proc.returncode == 1
+        assert "RuntimeWarning" not in proc.stderr
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["schemes"]["scheme1"]["failed_step"] == 1
+
+    def test_split_grid_run_exits_and_leaves_nothing_running(self, tmp_path):
+        # At 128^2 the kernels start their helper thread, a daemon: the
+        # process ends when the run does.
+        proc = run_cli_process(
+            "run", "--grid", "128", "--dt", "0.00390625", "--t-final", "0.0078125",
+            "--out", str(tmp_path), threads=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "epdiff-layer-0" in proc.stdout.split()
+        assert json.loads((tmp_path / "summary.json").read_text())["schemes"]

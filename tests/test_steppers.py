@@ -731,35 +731,43 @@ class TestIntegrate:
         assert calls == {"step": n - 1, "energy": n}
 
     def test_threads_match_sequential_runs(self, rng):
-        # The kernels' plans are per thread: runs at once on one grid, more
-        # of them than cores and switching often, must each give the bits of
-        # the same run alone.
-        g = GridSpec(64, 64, 0.5)
-        initials = [State.from_velocity(0.1 * random_pair(g, rng)) for _ in range(3)]
-        kinds = (SchemeKind.SCHEME2, SchemeKind.SCHEME3, SchemeKind.RK4)
-        start = threading.Barrier(len(initials), timeout=30)
+        # The kernels' plans are per thread.
+        threads_match_sequential_runs(GridSpec(64, 64, 0.5), rng)
 
-        def run(initial, wait=False):
-            if wait:
-                start.wait()
-            out = []
-            for kind in kinds:
-                rec = integrate(initial, SchemeConfig(kind, 1e-3), 6e-3)
-                final = rec.states_tail[-1]
-                out += [final.u.values, final.m.values, rec.column("energy")]
-            return out
+    def test_threads_match_sequential_runs_on_a_split_grid(self, rng):
+        # At 128^2 the stacks split: one caller at a time hands layer 0 to
+        # the helper thread, and the others run both layers themselves.
+        threads_match_sequential_runs(GridSpec(128, 128, 0.5), rng)
 
-        alone = [run(s) for s in initials]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with ThreadPoolExecutor(max_workers=len(initials)) as pool:
-                futures = [pool.submit(run, s, True) for s in initials]
-                together = [f.result(timeout=60) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        for seq, par in zip(alone, together):
-            assert all(np.array_equal(a, b) for a, b in zip(seq, par))
+
+def threads_match_sequential_runs(g, rng):
+    """Runs of three schemes on ``g`` at once, more of them than cores and
+    switching often, each give the bits of the same run alone."""
+    initials = [State.from_velocity(0.1 * random_pair(g, rng)) for _ in range(3)]
+    kinds = (SchemeKind.SCHEME2, SchemeKind.SCHEME3, SchemeKind.RK4)
+    start = threading.Barrier(len(initials), timeout=30)
+
+    def run(initial, wait=False):
+        if wait:
+            start.wait()
+        out = []
+        for kind in kinds:
+            rec = integrate(initial, SchemeConfig(kind, 1e-3), 6e-3)
+            final = rec.states_tail[-1]
+            out += [final.u.values, final.m.values, rec.column("energy")]
+        return out
+
+    alone = [run(s) for s in initials]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(initials)) as pool:
+            futures = [pool.submit(run, s, True) for s in initials]
+            together = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for seq, par in zip(alone, together):
+        assert all(np.array_equal(a, b) for a, b in zip(seq, par))
 
 
 def _retraced(s0, kind, dt, t_final):
