@@ -239,15 +239,10 @@ def norm(w) -> float:
 # Stencil kernels on raw arrays whose trailing axes are (J, K): the last axis
 # is x (index k), the second-to-last is y (index j).  Leading axes, if any,
 # are batch dimensions.  The kernels allocate only the arrays they return;
-# their temporaries live in the calling thread's :class:`_Plan` for the grid
-# and the stack shape.  They update arrays in place through explicit ufunc
-# calls with ``out``, which skip the slower operator protocol of ``a -= b``.
-#
-# The two layers of a (2, J, K) stack are independent in every stacked
-# kernel.  From _SPLIT_POINTS points per layer, a stack's plan splits: each
-# kernel call runs layer 0 (component 0 of the bracket) on one helper thread
-# and layer 1 on the calling thread, each on its own thread's (J, K) plan,
-# with the bits of the stacked call.
+# they are methods of, or take, the calling thread's plan for the grid and
+# the stack shape, which holds their temporaries.  They update arrays in
+# place through explicit ufunc calls with ``out``, which skip the slower
+# operator protocol of ``a -= b``.
 
 _THREAD = threading.local()
 
@@ -321,7 +316,8 @@ def _d2_arr(a: np.ndarray, plan: _Plan, out: np.ndarray | None = None) -> np.nda
 
 
 class _Helper:
-    """The one daemon thread that runs layer 0 of a split kernel call.
+    """The one daemon thread that runs layer 0 of a :class:`_SplitPlan`'s
+    kernel calls.
 
     ``helper(fn, *args)`` returns ``(fn(0, *args), fn(1, *args))``.  A
     caller that finds the helper idle hands it layer 0, runs layer 1 itself
@@ -379,62 +375,44 @@ def _forget_helper():
     _HELPER, _HELPER_START = None, threading.Lock()
 
 
+if hasattr(os, "register_at_fork"):  # Windows has neither fork nor the hook
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
 def _split(fn, *args):
-    """The split of a stack's plan: ``(fn(0, *args), fn(1, *args))`` through
-    the helper, which the first call starts."""
+    """``(fn(0, *args), fn(1, *args))`` through the helper, which the first
+    call starts."""
     global _HELPER
     if _HELPER is None:
         with _HELPER_START:
             if _HELPER is None:
-                os.register_at_fork(after_in_child=_forget_helper)
                 _HELPER = _Helper()
     return _HELPER(fn, *args)
 
 
-def _square_sums(i, a, b, grid):
-    """[sum(a*a), sum((a - b)**2)] over layer ``i`` of two (2, J, K)
-    stacks, on the thread's (J, K) plan."""
-    plan = _plan(grid, grid.shape)
-    np.multiply(a[i], a[i], out=plan.pair0)
-    d = np.subtract(a[i], b[i], out=plan.pair1)
-    np.multiply(d, d, out=d)
-    np.add.reduce(plan.pair, axis=(-2, -1), out=plan.sums)
-    return plan.sums.tolist()
-
-
 class _Plan:
-    """What the kernels on one grid reuse for one (..., J, K) stack shape:
-    the only kernel state a thread keeps.
+    """The kernels on one grid for one (..., J, K) stack shape, as methods,
+    and what they reuse: the only kernel state a thread keeps.
 
     Built once per thread on first use and kept in the thread's store under
     ``(grid, shape)``, the full grid with alpha, so a kernel call issues its
     ufunc and FFT calls with little else.  It holds the grid's numbers, the
     stencil indices of :func:`_pass_indices` (``passes``), the Laplacian's
-    two work arrays, a two-stack work array (the bracket's difference and
-    product, the Q-solve check's two squares, the two products of a
-    two-level energy, the corrector's iterate and increment), its per-layer
-    sums, the bracket's stencil passes over that work array, and the
-    Q-solve's buffers with their views: the (L*J + L, K) real rows, the
-    mean-free part and the y-means in them, the spectrum, its mean-free
-    rows and its float64 view, and the reciprocal symbol that multiplies
-    that view.
+    two work arrays, a two-stack work array (``pair``: the bracket's
+    difference and product, the two squares or products that one
+    reduction sums into ``sums``), the bracket's passes over that work
+    array, and the Q-solve's buffers with their views.
 
-    ``bracket`` holds the bracket's x and then y direction as (axis,
-    0.5/h, velocity pass, work pass), two passes into ``pair0`` made of the
-    calls of ``passes``.  The velocity pass is the interior call's (next,
-    prev, out) and the two edge calls' (next, prev, out), with next and
-    prev indices into the caller's velocity; the work pass is the three
+    ``bracket_passes`` holds the bracket's x and then y direction as
+    (axis, 0.5/h, velocity pass, work pass), two passes into ``pair0`` made
+    of the calls of ``passes``.  The velocity pass is the interior call's
+    (next, prev, out) and the two edge calls' (next, prev, out), with next
+    and prev indices into the caller's velocity; the work pass is the three
     calls' (next, prev, out) views, reading ``pair1``.
-
-    ``split`` is None, or for a (2, J, K) stack of at least _SPLIT_POINTS
-    points per layer the runner that calls a layer function on both layers
-    at once.  Such a plan keeps no buffer but ``pair1``, where a checked
-    solve puts Q u: every kernel runs its layers on the threads' (J, K)
-    plans.
     """
 
     __slots__ = (
-        "split", "dx", "dy", "area", "alpha2", "passes", "two_a", "lap_y", "bracket",
+        "dx", "dy", "alpha2", "passes", "two_a", "lap_y", "bracket_passes",
         "pair", "pair0", "pair1", "work_layers", "sums", "sums_rows",
         "J", "rfft", "real", "rest", "rows", "rows_b",
         "spec", "spec_rest", "spec_f", "recip", "scale", "inv_K",
@@ -445,13 +423,8 @@ class _Plan:
         lead = shape[:-2]
         n_rest = math.prod(shape[:-1])
         layers = n_rest // J
-        self.dx, self.dy, self.area = grid.dx, grid.dy, grid.cell_area
+        self.dx, self.dy = grid.dx, grid.dy
         self.alpha2 = grid.alpha**2
-        self.split = None
-        if lead == (2,) and J * K >= _SPLIT_POINTS:
-            self.split = _split
-            self.pair1 = np.empty(shape)
-            return
         self.passes = passes = _pass_indices(K)
         self.two_a = np.empty(shape)
         self.lap_y = np.empty(shape)
@@ -475,7 +448,7 @@ class _Plan:
                 (src[n], src[p], dst[e]) for e, n, p in edges
             )
             bracket.append((axis, 0.5 / h, velocity_pass, work_pass))
-        self.bracket = tuple(bracket)
+        self.bracket_passes = tuple(bracket)
 
         self.J = J
         self.rfft = "rfft_n_even" if K % 2 == 0 else "rfft_n_odd"
@@ -490,16 +463,213 @@ class _Plan:
         self.scale = 1.0 / (J * K)
         self.inv_K = 1.0 / K
 
-    def square_sums(self, a, b, grid):
-        """Per layer of a split plan's stacks ``a`` and ``b``,
-        [sum(a*a), sum((a - b)**2)], the layers on their own threads."""
-        return self.split(_square_sums, a, b, grid)
+    def apply_q(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Q a = a - alpha^2 Lap a, written into ``out``."""
+        q = _d2_arr(a, self, out)
+        np.multiply(q, self.alpha2, out=q)
+        return np.subtract(a, q, out=q)
+
+    def solve(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Spectral Q-solve of a stack of fields in one pass, written into
+        ``out``.
+
+        The y-mean is split off and solved with the 1D (k_y = 0) symbol so
+        that input constant in y stays bitwise constant in y; the
+        mixed-radix stages of a full 2D FFT would otherwise leak ~1e-16 of
+        y-variation per solve, which accumulates over long runs.
+
+        The transforms are numpy's pocketfft in the order of a real 2D
+        transform pair: rfft along x then fft along y, and back ifft along
+        y then irfft along x.  Both inverse passes run unscaled (factor
+        1.0), and the result is scaled by 1/(J K) once at the end, which is
+        where pocketfft's own 2D inverse (``scipy.fft.irfft2``) applies its
+        single scale factor; scaling each pass by 1/J and 1/K would round
+        differently.  So the bits are those of a solve through
+        ``scipy.fft``'s ``rfft2`` and ``irfft2``.
+
+        The y-means ride along as extra rows: the L*J rows of the mean-free
+        part and the L means (L layers) sit in one (L*J + L, K) buffer, so
+        one rfft and one irfft along x serve both, and only the y-passes
+        are restricted to the mean-free rows.  The means are scaled by 1/K,
+        the factor a default-norm 1D ``irfft`` applies.
+
+        At 20 points a transform costs less than the numpy calls around it,
+        so the solve makes as few as it can.  It calls pocketfft's gufuncs,
+        the call each ``numpy.fft`` wrapper ends in, with the same
+        arguments (the transform axis as ``axes``; the irfft length K from
+        the shape of its output) but without the wrapper's argument
+        handling, which takes close to half of a wrapped call at 20 points.
+        It divides the whole spectrum in one call, as a real multiply of
+        its float64 view by the stacked reciprocal of
+        ``_helmholtz_symbol``, which has the bits of numpy's complex divide
+        up to the sign of an exact zero.  Every buffer, view and number it
+        reuses is the plan's; the gufuncs are looked up on each call.
+
+        It allocates no array of the stack's size.  Broadcasting operands
+        go through plain assignment, since a broadcasting ufunc call
+        allocates an iterator buffer of up to 64 KiB.
+        """
+        fft = _pocketfft_umath
+        rows, rest = self.rows, self.rest
+
+        # np.mean's arithmetic without its Python wrapper.
+        np.add.reduce(a, axis=-2, out=rows)
+        np.true_divide(rows, self.J, out=rows)
+        rest[...] = self.rows_b
+        np.subtract(a, rest, out=rest)
+        getattr(fft, self.rfft)(self.real, 1.0, out=self.spec)
+        fft.fft(self.spec_rest, 1.0, axes=_Y_AXES, out=self.spec_rest)
+        np.multiply(self.spec_f, self.recip, out=self.spec_f)
+        fft.ifft(self.spec_rest, 1.0, axes=_Y_AXES, out=self.spec_rest)
+        fft.irfft(self.spec, 1.0, out=self.real)
+        u = np.multiply(rest, self.scale, out=out)
+        np.multiply(rows, self.inv_K, out=rows)
+        rest[...] = self.rows_b
+        return np.add(u, rest, out=u)
+
+    def square_sums(self, a: np.ndarray, b: np.ndarray) -> list[list[float]]:
+        """[per-layer sum(a*a), per-layer sum((a - b)**2)], from one
+        reduction over the two squares in the work array.  ``b`` may be
+        ``pair1``."""
+        np.multiply(a, a, out=self.pair0)
+        d = np.subtract(a, b, out=self.pair1)
+        np.multiply(d, d, out=d)
+        np.add.reduce(self.pair, axis=(-2, -1), out=self.sums)
+        return self.sums_rows.tolist()
+
+    def product_sums(self, a, b, c, d) -> list[list[float]]:
+        """[per-layer sum(a*b), per-layer sum(c*d)], from one reduction
+        over the two products in the work array."""
+        np.multiply(a, b, out=self.pair0)
+        np.multiply(c, d, out=self.pair1)
+        np.add.reduce(self.pair, axis=(-2, -1), out=self.sums)
+        return self.sums_rows.tolist()
+
+    def bracket(self, m: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The bracket of (2, J, K) momentum and velocity stacks, as one new
+        stack.
+
+        The eight centered differences are taken as four stencil passes
+        over (2, J, K) stacks written into the two stacks of the work
+        array, and the terms are summed left to right, bit for bit as term
+        by term with d1x/d1y:
+
+            c1 = m1*d1x(v1) + m2*d1x(v2) + d1x(m1*v1) + d1y(m1*v2)
+            c2 = m1*d1y(v1) + m2*d1y(v2) + d1x(m2*v1) + d1y(m2*v2)
+
+        Each pass is the three calls of :func:`_pass_indices` followed by
+        its scale, on operands built once in ``bracket_passes``: only the
+        views into ``m`` and ``v`` are taken per call.  The products m*v_c
+        go one layer per call, as a call that broadcasts v_c over both
+        layers of m allocates an iterator buffer of up to 64 KiB.
+        """
+        diff, work = self.pair0, self.pair1
+        work1, work2 = self.work_layers
+        m1, m2 = m[0], m[1]
+        flat = v.ravel()
+        out = np.empty(m.shape)
+        # Direction c (x, then y) gives component c its m1*dc(v1) + m2*dc(v2),
+        # and then adds dc(m*v_c) to both components.
+        for c, (axis, scale, ((next_, prev, dst), edges), _) in enumerate(self.bracket_passes):
+            np.subtract(flat[next_], flat[prev], out=dst)
+            edge_src = flat if axis == -1 else v
+            for next_, prev, dst in edges:
+                np.subtract(edge_src[next_], edge_src[prev], out=dst)
+            np.multiply(diff, scale, out=diff)
+            np.multiply(m, diff, out=work)
+            np.add(work1, work2, out=out[c])
+        for c, (_, scale, _, calls) in enumerate(self.bracket_passes):
+            v_c = v[c]
+            np.multiply(m1, v_c, out=work1)
+            np.multiply(m2, v_c, out=work2)
+            for next_, prev, dst in calls:
+                np.subtract(next_, prev, out=dst)
+            np.multiply(diff, scale, out=diff)
+            np.add(out, diff, out=out)
+        return out
+
+    def bracket_component(self, c: int, m: np.ndarray, v: np.ndarray, out_c: np.ndarray):
+        """Component ``c`` of the bracket of (2, J, K) stacks into
+        ``out_c``, on a (J, K) plan, in :meth:`bracket`'s order:
+        m1*dc(v1) + m2*dc(v2), then + d1x(m_c*v1), then + d1y(m_c*v2)."""
+        diff, work = self.pair0, self.pair1
+        axis, scale, ((next_, prev, dst), edges), _ = self.bracket_passes[c]
+        for layer in (0, 1):
+            flat = v[layer].ravel()
+            np.subtract(flat[next_], flat[prev], out=dst)
+            edge_src = flat if axis == -1 else v[layer]
+            for n, p, d in edges:
+                np.subtract(edge_src[n], edge_src[p], out=d)
+            np.multiply(diff, scale, out=diff)
+            np.multiply(m[layer], diff, out=work if layer else out_c)
+        np.add(out_c, work, out=out_c)
+        m_c = m[c]
+        for (_, scale, _, calls), v_d in zip(self.bracket_passes, v):
+            np.multiply(m_c, v_d, out=work)
+            for n, p, d in calls:
+                np.subtract(n, p, out=d)
+            np.multiply(diff, scale, out=diff)
+            np.add(out_c, diff, out=out_c)
 
 
-def _plan(grid: GridSpec, shape: tuple[int, ...]) -> _Plan:
-    """The calling thread's :class:`_Plan` for ``grid`` and ``shape``, built
-    on first use.  A thread whose plans belong to another grid shape (J, K)
-    drops them first, so resident memory stays bounded."""
+class _SplitPlan:
+    """The plan of a (2, J, K) stack of at least _SPLIT_POINTS points per
+    layer: the kernel methods of :class:`_Plan`, each run at once on the
+    stack's two layers through :func:`_split`, layer 0 on the helper
+    thread and layer 1 on the calling thread, each by the same
+    :class:`_Plan` method on its own thread's (J, K) plan.  The bracket
+    splits by output component instead (:meth:`_Plan.bracket_component`).
+    The results have the bits of the stacked call.
+
+    It keeps no buffer but ``pair1``, where a checked solve puts Q u.
+    """
+
+    __slots__ = ("grid", "pair1")
+
+    def __init__(self, grid: GridSpec, shape: tuple[int, ...]):
+        self.grid = grid
+        self.pair1 = np.empty(shape)
+
+    def _layer_job(self, i: int, method, stacks):
+        """``method`` of the thread's (J, K) plan on layer ``i`` of each of
+        ``stacks``: one thread's half of a kernel call."""
+        return method(_plan(self.grid, self.grid.shape), *[s[i] for s in stacks])
+
+    def _sums(self, method, *stacks) -> list[list[float]]:
+        """``method``'s two lists of sums, each with layer 0's then layer
+        1's sum."""
+        first, second = _split(self._layer_job, method, stacks)
+        return [x + y for x, y in zip(first, second)]
+
+    def apply_q(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        _split(self._layer_job, _Plan.apply_q, (a, out))
+        return out
+
+    def solve(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        _split(self._layer_job, _Plan.solve, (a, out))
+        return out
+
+    def square_sums(self, a: np.ndarray, b: np.ndarray) -> list[list[float]]:
+        return self._sums(_Plan.square_sums, a, b)
+
+    def product_sums(self, a, b, c, d) -> list[list[float]]:
+        return self._sums(_Plan.product_sums, a, b, c, d)
+
+    def _component_job(self, c: int, m: np.ndarray, v: np.ndarray, out: np.ndarray):
+        _plan(self.grid, self.grid.shape).bracket_component(c, m, v, out[c])
+
+    def bracket(self, m: np.ndarray, v: np.ndarray) -> np.ndarray:
+        out = np.empty(m.shape)
+        _split(self._component_job, m, v, out)
+        return out
+
+
+def _plan(grid: GridSpec, shape: tuple[int, ...]) -> _Plan | _SplitPlan:
+    """The calling thread's plan for ``grid`` and ``shape``, built on first
+    use: a :class:`_SplitPlan` for a (2, J, K) stack of at least
+    _SPLIT_POINTS points per layer, else a :class:`_Plan`.  A thread whose
+    plans belong to another grid shape (J, K) drops them first, so
+    resident memory stays bounded."""
     try:
         return _THREAD.plans[grid, shape]
     except (AttributeError, KeyError):
@@ -507,7 +677,8 @@ def _plan(grid: GridSpec, shape: tuple[int, ...]) -> _Plan:
     if getattr(_THREAD, "grid_shape", None) != grid.shape:
         _THREAD.grid_shape = grid.shape
         _THREAD.plans = {}
-    plan = _THREAD.plans[grid, shape] = _Plan(grid, shape)
+    split = shape[:-2] == (2,) and grid.J * grid.K >= _SPLIT_POINTS
+    plan = _THREAD.plans[grid, shape] = (_SplitPlan if split else _Plan)(grid, shape)
     return plan
 
 
@@ -515,14 +686,7 @@ def _apply_q_arr(
     a: np.ndarray, grid: GridSpec, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Q a = a - alpha^2 Lap a, written into ``out`` (a new array if None)."""
-    plan = _plan(grid, a.shape)
-    if plan.split is not None:
-        out = np.empty(a.shape) if out is None else out
-        plan.split(_layer, _APPLY_Q, a, grid, out)
-        return out
-    q = _d2_arr(a, plan, out)
-    np.multiply(q, plan.alpha2, out=q)
-    return np.subtract(a, q, out=q)
+    return _plan(grid, a.shape).apply_q(a, np.empty(a.shape) if out is None else out)
 
 
 def d1x(f: ScalarField) -> ScalarField:
@@ -576,91 +740,23 @@ _Y_AXES = [(-2,), (), (-2,)]
 def _solve_q_stack_arr(
     a: np.ndarray, grid: GridSpec, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Spectral Q-solve of a (..., J, K) stack of fields in one pass,
-    written into ``out`` (a new array if None).
-
-    The y-mean is split off and solved with the 1D (k_y = 0) symbol so that
-    input constant in y stays bitwise constant in y; the mixed-radix stages
-    of a full 2D FFT would otherwise leak ~1e-16 of y-variation per solve,
-    which accumulates over long runs.
-
-    The transforms are numpy's pocketfft in the order of a real 2D
-    transform pair: rfft along x then fft along y, and back ifft along y
-    then irfft along x.  Both inverse passes run unscaled (factor 1.0),
-    and the result is scaled by 1/(J K) once at the end, which is where
-    pocketfft's own 2D inverse (``scipy.fft.irfft2``) applies its single
-    scale factor; scaling each pass by 1/J and 1/K would round
-    differently.  So the bits are those of a solve through ``scipy.fft``'s
-    ``rfft2`` and ``irfft2``.
-
-    The y-means ride along as extra rows: the L*J rows of the mean-free
-    part and the L means (L layers) sit in one (L*J + L, K) buffer, so one
-    rfft and one irfft along x serve both, and only the y-passes are
-    restricted to the mean-free rows.  The means are scaled by 1/K, the
-    factor a default-norm 1D ``irfft`` applies.
-
-    At 20 points a transform costs less than the numpy calls around it, so
-    the solve makes as few as it can.  It calls pocketfft's gufuncs, the
-    call each ``numpy.fft`` wrapper ends in, with the same arguments (the
-    transform axis as ``axes``; the irfft length K from the shape of its
-    output) but without the wrapper's argument handling, which takes close
-    to half of a wrapped call at 20 points.  It divides the whole spectrum
-    in one call, as a real multiply of its float64 view by the stacked
-    reciprocal of ``_helmholtz_symbol``, which has the bits of numpy's
-    complex divide up to the sign of an exact zero.  And every buffer,
-    view and number it reuses comes from the thread's :class:`_Plan` for
-    the grid and the stack shape, built on the first call; the gufuncs are
-    looked up on each call.
-
-    The returned array is the only one allocated.  Broadcasting operands
-    go through plain assignment, since a broadcasting ufunc call allocates
-    an iterator buffer of up to 64 KiB.
-    """
-    plan = _plan(grid, a.shape)
-    if plan.split is not None:
-        out = np.empty(a.shape) if out is None else out
-        plan.split(_layer, _SOLVE_Q, a, grid, out)
-        return out
-    fft = _pocketfft_umath
-    rows, rest = plan.rows, plan.rest
-
-    # np.mean's arithmetic without its Python wrapper.
-    np.add.reduce(a, axis=-2, out=rows)
-    np.true_divide(rows, plan.J, out=rows)
-    rest[...] = plan.rows_b
-    np.subtract(a, rest, out=rest)
-    getattr(fft, plan.rfft)(plan.real, 1.0, out=plan.spec)
-    fft.fft(plan.spec_rest, 1.0, axes=_Y_AXES, out=plan.spec_rest)
-    np.multiply(plan.spec_f, plan.recip, out=plan.spec_f)
-    fft.ifft(plan.spec_rest, 1.0, axes=_Y_AXES, out=plan.spec_rest)
-    fft.irfft(plan.spec, 1.0, out=plan.real)
-    u = np.multiply(rest, plan.scale, out=np.empty(a.shape) if out is None else out)
-    np.multiply(rows, plan.inv_K, out=rows)
-    rest[...] = plan.rows_b
-    return np.add(u, rest, out=u)
+    """Spectral Q-solve of a (..., J, K) stack of fields (see
+    :meth:`_Plan.solve`), written into ``out`` (a new array if None)."""
+    return _plan(grid, a.shape).solve(a, np.empty(a.shape) if out is None else out)
 
 
 def _solve_q_checked(a: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, float]:
     """Solve and verify: stacked input gives the worst per-layer residual.
 
-    The squares of the momentum and of the residual fill the two stacks of
-    the plan's work array, so one reduction sums both (one per layer and
-    thread on a split plan).  A momentum or
-    residual whose norm is not finite (NaN or infinite entries, or entries
-    too large to square) cannot be verified and is rejected without a
-    residual.
+    Q u goes into the plan's ``pair1``, and the squares of the momentum and
+    of the residual a - Q u come from one :meth:`_Plan.square_sums`.  A
+    momentum or residual whose norm is not finite (NaN or infinite
+    entries, or entries too large to square) cannot be verified and is
+    rejected without a residual.
     """
     u = _solve_q_stack_arr(a, grid)
     plan = _plan(grid, a.shape)
-    r = _apply_q_arr(u, grid, plan.pair1)
-    if plan.split is not None:
-        sq_m, sq_r = zip(*plan.square_sums(a, r, grid))
-    else:
-        np.multiply(a, a, out=plan.pair0)
-        np.subtract(r, a, out=r)
-        np.multiply(r, r, out=r)
-        np.add.reduce(plan.pair, axis=(-2, -1), out=plan.sums)
-        sq_m, sq_r = plan.sums_rows.tolist()
+    sq_m, sq_r = plan.square_sums(a, _apply_q_arr(u, grid, plan.pair1))
     rel = 0.0
     for nm, nr in zip(map(math.sqrt, sq_m), map(math.sqrt, sq_r)):
         if not (math.isfinite(nm) and math.isfinite(nr)):
@@ -675,16 +771,6 @@ def _solve_q_checked(a: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, float]:
             residual=rel,
         )
     return u, rel
-
-
-def _layer(i, kernel, a, grid, out):
-    """Layer ``i`` of a split solve or apply-Q: ``kernel`` on the (J, K)
-    layer, which never splits."""
-    kernel(a[i], grid, out[i])
-
-
-# The functions themselves, not the module names a profiler may wrap.
-_APPLY_Q, _SOLVE_Q = _apply_q_arr, _solve_q_stack_arr
 
 
 def apply_q(u):

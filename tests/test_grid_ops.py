@@ -52,6 +52,7 @@ from epdiff.grid import (
     QSOLVE_RTOL,
     _apply_q_arr,
     _Plan,
+    _SplitPlan,
     _d1_arr,
     _d2_arr,
     _plan,
@@ -771,7 +772,7 @@ class TestSplitKernels:
     def test_have_the_bits_of_layer_calls(self, k, j, split, rng):
         g = GridSpec(k, j, 0.3)
         assert (k * j >= grid_module._SPLIT_POINTS) == split
-        assert (_plan(g, (2,) + g.shape).split is not None) == split
+        assert isinstance(_plan(g, (2,) + g.shape), _SplitPlan) == split
         a, b, m, v = rng.standard_normal((4, 2) + g.shape)
         a[0, 3, 5] = b[1, 0, 0] = -0.0
         area = g.cell_area
@@ -787,6 +788,11 @@ class TestSplitKernels:
 
         def sums(x, y):
             return [float(np.add.reduce(x[i] * y[i], axis=(-2, -1))) for i in (0, 1)]
+
+        # The checked solve's residual max_i ||Q u - a||_i / ||a||_i, by
+        # np.add.reduce: the check squares a - Q u, with the bits of Q u - a.
+        r = _apply_q_arr(u, g) - a
+        assert rel == max(math.sqrt(x) / math.sqrt(y) for x, y in zip(sums(r, r), sums(a, a)))
 
         d = a - b
         (a1, a2), (d1, d2) = sums(a, a), sums(d, d)
@@ -823,8 +829,9 @@ class TestSplitKernels:
             _apply_q_arr(huge, g)
         assert same_bits(_apply_q_arr(a, g), layer_by_layer(_apply_q_arr, a, g))
 
-    def test_forked_child_splits_without_the_parents_helper(self, rng):
-        # A forked child has no helper thread; its first split starts one.
+    def test_forked_child_splits_without_the_parents_helper(self, rng, monkeypatch):
+        # A forked child has no helper thread; its first split starts one
+        # and registers no fork hook: the one registered at import holds.
         g = GridSpec(128, 128, 0.3)
         a = rng.standard_normal((2,) + g.shape)
         expected = layer_by_layer(_solve_q_stack_arr, a, g)
@@ -833,7 +840,10 @@ class TestSplitKernels:
         if pid == 0:
             code = 2
             try:
-                code = 0 if same_bits(_solve_q_stack_arr(a, g), expected) else 1
+                hooks = []
+                monkeypatch.setattr(os, "register_at_fork", lambda **hook: hooks.append(hook))
+                same = same_bits(_solve_q_stack_arr(a, g), expected)
+                code = 0 if same and not hooks else 1
             finally:
                 os._exit(code)
         deadline = time.monotonic() + 60

@@ -388,6 +388,40 @@ def test_private_imports_across_modules_only_shrink():
     assert sorted(found) == sorted(PRIVATE_IMPORTS)
 
 
+# The kernel methods of a plan: the one way a module other than grid.py
+# reaches a plan.
+PLAN_METHODS = {"solve", "apply_q", "square_sums", "product_sums", "bracket"}
+
+
+def test_modules_reach_a_plan_only_through_its_kernel_methods():
+    # Only grid.py knows when a plan splits and which buffers it holds:
+    # elsewhere every _plan(...) is the receiver of one kernel method call,
+    # so no plan is kept in a name and no buffer is read.
+    import epdiff
+
+    for path in sorted(Path(epdiff.__file__).parent.glob("*.py")):
+        if path.name == "grid.py":
+            continue
+        tree = ast.parse(path.read_text())
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        hidden = {"_split", "_SplitPlan", "_Plan", "_Helper", "_SPLIT_POINTS"}
+        assert not (names | imported) & hidden, path.name
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Name) and node.id == "_plan"):
+                continue
+            call = parent[node]
+            assert isinstance(call, ast.Call) and call.func is node, (path.name, node.lineno)
+            method = parent[call]
+            assert isinstance(method, ast.Attribute) and method.attr in PLAN_METHODS, (
+                path.name, node.lineno
+            )
+            assert isinstance(parent[method], ast.Call) and parent[method].func is method, (
+                path.name, node.lineno
+            )
+
+
 class TestScheme1PredictorCorrector:
     def test_fixed_count_runs_exactly_n_passes(self, rng):
         g = GridSpec(10, 10, 1.0)
