@@ -239,8 +239,8 @@ def norm(w) -> float:
 # Stencil kernels on raw arrays whose trailing axes are (J, K): the last axis
 # is x (index k), the second-to-last is y (index j).  Leading axes, if any,
 # are batch dimensions.  The kernels allocate only the arrays they return;
-# they are methods of, or take, the calling thread's plan for the grid and
-# the stack shape, which holds their temporaries.  They update arrays in
+# they are methods of the calling thread's plan for the grid and the stack
+# shape, which holds their temporaries.  They update arrays in
 # place through explicit ufunc calls with ``out``, which skip the slower
 # operator protocol of ``a -= b``.
 
@@ -281,38 +281,6 @@ def _pass_indices(K: int) -> dict:
         -2: ((slice(K, -K), slice(2 * K, None), slice(None, -2 * K)),
              ((row(0), row(1), row(-1)), (row(-1), row(0), row(-2)))),
     }
-
-
-def _periodic_pair(op, a: np.ndarray, axis: int, out: np.ndarray, plan: _Plan) -> np.ndarray:
-    """out[k] = op(a[k+1], a[k-1]) along ``axis`` (-1 or -2), periodic, in
-    the three calls of the plan's ``passes``; ``out`` is C-contiguous."""
-    (mid, next_, prev), edges = plan.passes[axis]
-    flat, res = a.ravel(), out.ravel()
-    op(flat[next_], flat[prev], out=res[mid])
-    src, dst = (flat, res) if axis == -1 else (a, out)
-    for edge, next_, prev in edges:
-        op(src[next_], src[prev], out=dst[edge])
-    return out
-
-
-def _d1_arr(a: np.ndarray, axis: int, plan: _Plan) -> np.ndarray:
-    """Centered difference (a[k+1] - a[k-1]) * (0.5/h) along ``axis``, by
-    ``a``'s plan, as a new array."""
-    out = _periodic_pair(np.subtract, a, axis, np.empty(a.shape), plan)
-    return np.multiply(out, 0.5 / (plan.dx if axis == -1 else plan.dy), out=out)
-
-
-def _d2_arr(a: np.ndarray, plan: _Plan, out: np.ndarray | None = None) -> np.ndarray:
-    """5-point Laplacian: ((a[k+1] + a[k-1]) - 2a) * (1/h^2), x then y, by
-    ``a``'s plan, written into ``out`` (a new array if None)."""
-    two_a = np.multiply(a, 2.0, out=plan.two_a)
-    lap = _periodic_pair(np.add, a, -1, np.empty(a.shape) if out is None else out, plan)
-    np.subtract(lap, two_a, out=lap)
-    np.multiply(lap, 1.0 / plan.dx**2, out=lap)
-    lap_y = _periodic_pair(np.add, a, -2, plan.lap_y, plan)
-    np.subtract(lap_y, two_a, out=lap_y)
-    np.multiply(lap_y, 1.0 / plan.dy**2, out=lap_y)
-    return np.add(lap, lap_y, out=lap)
 
 
 class _Helper:
@@ -397,11 +365,15 @@ class _Plan:
     Built once per thread on first use and kept in the thread's store under
     ``(grid, shape)``, the full grid with alpha, so a kernel call issues its
     ufunc and FFT calls with little else.  It holds the grid's numbers, the
-    stencil indices of :func:`_pass_indices` (``passes``), the Laplacian's
-    two work arrays, a two-stack work array (``pair``: the bracket's
-    difference and product, the two squares or products that one
-    reduction sums into ``sums``), the bracket's passes over that work
-    array, and the Q-solve's buffers with their views.
+    stencil indices of :func:`_pass_indices` (``passes``), the bracket's
+    passes, the shared Helmholtz symbol ``recip``, and four buffers with
+    their views: ``pair`` (two stacks, ``pair0`` and ``pair1``: the
+    bracket's difference and product, the two squares or products that one
+    reduction sums into ``sums``, and the Laplacian's 2a in ``pair0``) and
+    the Q-solve's ``real`` and ``spec``, whose ``rest`` view of ``real``
+    also takes the Laplacian's y pass.  They are shared on one rule: a
+    thread runs one kernel of a plan at a time, and the Laplacian never
+    uses ``pair1``, which the checked solve passes as apply-Q's ``out``.
 
     ``bracket_passes`` holds the bracket's x and then y direction as
     (axis, 0.5/h, velocity pass, work pass), two passes into ``pair0`` made
@@ -412,7 +384,7 @@ class _Plan:
     """
 
     __slots__ = (
-        "dx", "dy", "alpha2", "passes", "two_a", "lap_y", "bracket_passes",
+        "dx", "dy", "alpha2", "passes", "bracket_passes",
         "pair", "pair0", "pair1", "work_layers", "sums", "sums_rows",
         "J", "rfft", "real", "rest", "rows", "rows_b",
         "spec", "spec_rest", "spec_f", "recip", "scale", "inv_K",
@@ -426,8 +398,6 @@ class _Plan:
         self.dx, self.dy = grid.dx, grid.dy
         self.alpha2 = grid.alpha**2
         self.passes = passes = _pass_indices(K)
-        self.two_a = np.empty(shape)
-        self.lap_y = np.empty(shape)
 
         self.pair = np.empty((2,) + shape)
         self.pair0, self.pair1 = self.pair
@@ -463,9 +433,39 @@ class _Plan:
         self.scale = 1.0 / (J * K)
         self.inv_K = 1.0 / K
 
+    def _pair(self, op, a: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+        """out[k] = op(a[k+1], a[k-1]) along ``axis`` (-1 or -2), periodic, in
+        the three calls of ``passes``; ``out`` is C-contiguous."""
+        (mid, next_, prev), edges = self.passes[axis]
+        flat, res = a.ravel(), out.ravel()
+        op(flat[next_], flat[prev], out=res[mid])
+        src, dst = (flat, res) if axis == -1 else (a, out)
+        for edge, next_, prev in edges:
+            op(src[next_], src[prev], out=dst[edge])
+        return out
+
+    def d1(self, a: np.ndarray, axis: int) -> np.ndarray:
+        """Centered difference (a[k+1] - a[k-1]) * (0.5/h) along ``axis``, as
+        a new array."""
+        out = self._pair(np.subtract, a, axis, np.empty(a.shape))
+        return np.multiply(out, 0.5 / (self.dx if axis == -1 else self.dy), out=out)
+
+    def laplacian(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """5-point Laplacian: ((a[k+1] + a[k-1]) - 2a) * (1/h^2), x then y,
+        written into ``out`` (a new array if None), with 2a in ``pair0`` and
+        the y pass in ``rest``."""
+        two_a = np.multiply(a, 2.0, out=self.pair0)
+        lap = self._pair(np.add, a, -1, np.empty(a.shape) if out is None else out)
+        np.subtract(lap, two_a, out=lap)
+        np.multiply(lap, 1.0 / self.dx**2, out=lap)
+        lap_y = self._pair(np.add, a, -2, self.rest)
+        np.subtract(lap_y, two_a, out=lap_y)
+        np.multiply(lap_y, 1.0 / self.dy**2, out=lap_y)
+        return np.add(lap, lap_y, out=lap)
+
     def apply_q(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Q a = a - alpha^2 Lap a, written into ``out``."""
-        q = _d2_arr(a, self, out)
+        q = self.laplacian(a, out)
         np.multiply(q, self.alpha2, out=q)
         return np.subtract(a, q, out=q)
 
@@ -531,11 +531,8 @@ class _Plan:
         """[per-layer sum(a*a), per-layer sum((a - b)**2)], from one
         reduction over the two squares in the work array.  ``b`` may be
         ``pair1``."""
-        np.multiply(a, a, out=self.pair0)
         d = np.subtract(a, b, out=self.pair1)
-        np.multiply(d, d, out=d)
-        np.add.reduce(self.pair, axis=(-2, -1), out=self.sums)
-        return self.sums_rows.tolist()
+        return self.product_sums(a, a, d, d)
 
     def product_sums(self, a, b, c, d) -> list[list[float]]:
         """[per-layer sum(a*b), per-layer sum(c*d)], from one reduction
@@ -621,7 +618,8 @@ class _SplitPlan:
     splits by output component instead (:meth:`_Plan.bracket_component`).
     The results have the bits of the stacked call.
 
-    It keeps no buffer but ``pair1``, where a checked solve puts Q u.
+    It keeps no buffer but ``pair1``, where a checked solve puts Q u, and
+    has no stencil methods: no package path runs a stencil on a split stack.
     """
 
     __slots__ = ("grid", "pair1")
@@ -691,17 +689,17 @@ def _apply_q_arr(
 
 def d1x(f: ScalarField) -> ScalarField:
     """Centered first difference in x with periodic wraparound."""
-    return ScalarField._wrap(f.grid, _d1_arr(f.values, -1, _plan(f.grid, f.grid.shape)))
+    return ScalarField._wrap(f.grid, _plan(f.grid, f.grid.shape).d1(f.values, -1))
 
 
 def d1y(f: ScalarField) -> ScalarField:
     """Centered first difference in y with periodic wraparound."""
-    return ScalarField._wrap(f.grid, _d1_arr(f.values, -2, _plan(f.grid, f.grid.shape)))
+    return ScalarField._wrap(f.grid, _plan(f.grid, f.grid.shape).d1(f.values, -2))
 
 
 def d2(f: ScalarField) -> ScalarField:
     """5-point periodic Laplacian."""
-    return ScalarField._wrap(f.grid, _d2_arr(f.values, _plan(f.grid, f.grid.shape)))
+    return ScalarField._wrap(f.grid, _plan(f.grid, f.grid.shape).laplacian(f.values))
 
 
 # ---------------------------------------------------------------------------
@@ -737,12 +735,10 @@ def _helmholtz_symbol(K: int, J: int, alpha: float, layers: int) -> np.ndarray:
 _Y_AXES = [(-2,), (), (-2,)]
 
 
-def _solve_q_stack_arr(
-    a: np.ndarray, grid: GridSpec, out: np.ndarray | None = None
-) -> np.ndarray:
+def _solve_q_stack_arr(a: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Spectral Q-solve of a (..., J, K) stack of fields (see
-    :meth:`_Plan.solve`), written into ``out`` (a new array if None)."""
-    return _plan(grid, a.shape).solve(a, np.empty(a.shape) if out is None else out)
+    :meth:`_Plan.solve`), as a new array."""
+    return _plan(grid, a.shape).solve(a, np.empty(a.shape))
 
 
 def _solve_q_checked(a: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, float]:

@@ -36,8 +36,6 @@ from epdiff.config import parse_scheme_label
 from epdiff.core import _corrector_norms, _gamma_arrays, _two_level_energy
 from epdiff.grid import (
     _apply_q_arr,
-    _d1_arr,
-    _d2_arr,
     _plan,
     _solve_q_checked,
     _solve_q_stack_arr,
@@ -87,13 +85,14 @@ def kernel_digests() -> dict:
             g = GridSpec(k, j, alpha)
             for lead in [(), (2,)]:
                 inputs = _inputs(g, lead, rng)
-                # A split plan holds no stencil passes; its layers' plans do.
+                # A split plan has no stencil methods, since no package path
+                # runs a stencil on a split stack.
                 stencils = not lead or k * j < grid_module._SPLIT_POINTS
                 for a in inputs:
                     if stencils:
                         plan = _plan(g, a.shape)
-                        feed("stencils", _d1_arr(a, -1, plan), _d1_arr(a, -2, plan),
-                             _d2_arr(a, plan))
+                        feed("stencils", plan.d1(a, -1), plan.d1(a, -2),
+                             plan.laplacian(a))
                     feed("apply_q", _apply_q_arr(a, g))
                     feed("solve", _solve_q_stack_arr(a, g))
                     u, rel = _solve_q_checked(a, g)

@@ -53,8 +53,6 @@ from epdiff.grid import (
     _apply_q_arr,
     _Plan,
     _SplitPlan,
-    _d1_arr,
-    _d2_arr,
     _plan,
     _solve_q_checked,
     _solve_q_stack_arr,
@@ -514,13 +512,13 @@ class TestKernels:
         g = GridSpec(k, j, 0.7)
         a = rng.standard_normal(lead + g.shape)
         plan = _plan(g, a.shape)
-        assert same_bits(_d1_arr(a, -1, plan), roll_d1(a, -1, g.dx))
-        assert same_bits(_d1_arr(a, -2, plan), roll_d1(a, -2, g.dy))
-        assert same_bits(_d2_arr(a, plan), roll_d2(a, g.dx, g.dy))
+        assert same_bits(plan.d1(a, -1), roll_d1(a, -1, g.dx))
+        assert same_bits(plan.d1(a, -2), roll_d1(a, -2, g.dy))
+        assert same_bits(plan.laplacian(a), roll_d2(a, g.dx, g.dy))
         q = a - g.alpha**2 * roll_d2(a, g.dx, g.dy)
         assert same_bits(_apply_q_arr(a, g), q)
         out = np.empty(a.shape)
-        assert _d2_arr(a, plan, out) is out
+        assert plan.laplacian(a, out) is out
         assert same_bits(out, roll_d2(a, g.dx, g.dy))
         assert _apply_q_arr(a, g, out) is out
         assert same_bits(out, q)
@@ -563,6 +561,47 @@ class TestKernels:
 
         for g in grids:
             assert same_bits(_solve_q_checked(a, g)[0], fresh(g)), g
+
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["layer", "stack"])
+    def test_plan_owns_no_private_laplacian_stack(self, lead, rng):
+        # The Laplacian works in buffers the plan's other kernels own, so
+        # the arrays a plan owns (views and the shared symbol aside) come
+        # to no more than pair, sums, real and spec.  A warm plan then runs
+        # solve, apply-Q and a checked solve, whose kernels share those
+        # buffers, and each call has the bits of the same call on a fresh
+        # plan.
+        g = GridSpec(33, 17, 0.7)
+        shape = lead + g.shape
+        plan = _plan(g, shape)
+        assert type(plan) is _Plan
+        owned, todo = {}, [getattr(plan, name) for name in _Plan.__slots__]
+        while todo:
+            x = todo.pop()
+            if isinstance(x, np.ndarray):
+                if x.base is None and x is not plan.recip:
+                    owned[id(x)] = x.nbytes
+            elif isinstance(x, (tuple, list)):
+                todo.extend(x)
+            elif isinstance(x, dict):
+                todo.extend(x.values())
+        buffers = (plan.pair, plan.sums, plan.real, plan.spec)
+        assert sum(owned.values()) <= sum(x.nbytes for x in buffers)
+
+        a, b, c = rng.standard_normal((3,) + shape)
+        _solve_q_checked(b, g)
+        calls = [
+            lambda: [_solve_q_stack_arr(a, g)],
+            lambda: [_apply_q_arr(b, g)],
+            lambda: list(_solve_q_checked(c, g)),
+        ]
+        for call in calls:
+            warm, fresh = call(), []
+            thread = threading.Thread(target=lambda: fresh.extend(call()))
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            for got, expected in zip(warm, fresh, strict=True):
+                assert same_bits(got, expected)
 
     def test_thread_drops_its_plans_for_another_grid_shape(self, rng):
         # A step of every scheme label and the object-layer stencils leave
@@ -877,9 +916,9 @@ SKEW_BOUND = 1e-15
 def kernel_outputs(a, m, v, g):
     plan = _plan(g, a.shape)
     return [
-        _d1_arr(a, -1, plan),
-        _d1_arr(a, -2, plan),
-        _d2_arr(a, plan),
+        plan.d1(a, -1),
+        plan.d1(a, -2),
+        plan.laplacian(a),
         _apply_q_arr(a, g),
         _solve_q_checked(a, g)[0],
         _gamma_arrays(m, v, g),
@@ -927,3 +966,40 @@ def test_kernels_on_drawn_grids(K, J, lead, alpha, twin_alpha, seed):
     skew = abs(float(np.vdot(gamma, v))) * area
     scale = math.sqrt(np.vdot(m, m) * area) * float(np.vdot(v, v)) * area / math.sqrt(area)
     assert skew <= SKEW_BOUND * scale
+
+
+@settings(max_examples=100)
+@given(
+    K=st.integers(3, 33),
+    J=st.integers(3, 33),
+    alpha=st.floats(0.05, 1.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_y_constant_input_stays_y_constant(K, J, alpha, seed):
+    # Every row of a (2, J, K) stack constant in y equals row 0 bit for bit
+    # after the bare and the checked Q-solve, apply-Q, the bracket and one
+    # step of each scheme, as the flat-in-y sine benchmark needs over long
+    # runs.  dt = 0.2 min(dx, dy) / max|m| is below the advective limit of
+    # the state, since max|u| <= max|m|.
+    g = GridSpec(K, J, alpha)
+    u, v = np.repeat(np.random.default_rng(seed).standard_normal((2, 2, 1, K)), J, axis=-2)
+    s0 = State.from_velocity(FieldPair.from_arrays(g, *u))
+    m = s0.m.values
+    outputs = [
+        _solve_q_stack_arr(m, g),
+        _solve_q_checked(m, g)[0],
+        _apply_q_arr(v, g),
+        _gamma_arrays(m, v, g),
+    ]
+    dt = 0.2 * min(g.dx, g.dy) / float(np.abs(m).max())
+    s1 = step_rk4(s0, dt).state
+    cfg = SchemeConfig(SchemeKind.SCHEME1_PC, dt, Tolerance(1e-14, 200))
+    for s in (
+        s1,
+        step_scheme1_pc(s0, s1, dt, cfg).state,
+        step_scheme2(s0, s1, dt).state,
+        step_scheme3(s0, s1, dt).state,
+    ):
+        outputs += [s.u.values, s.m.values]
+    for x in outputs:
+        assert same_bits(x, np.repeat(x[..., :1, :], J, axis=-2))
