@@ -73,6 +73,8 @@ class GridSpec:
         # Every kernel call looks its plan up by grid: hash the fields once,
         # as the dataclass's __hash__ would on each lookup.
         object.__setattr__(self, "_hash", hash((self.K, self.J, self.alpha)))
+        # Read by the energies and momenta on every step: dx * dy, once.
+        object.__setattr__(self, "cell_area", (2.0 / self.K) * (2.0 / self.J))
 
     def __hash__(self) -> int:
         return self._hash
@@ -84,10 +86,6 @@ class GridSpec:
     @property
     def dy(self) -> float:
         return 2.0 / self.J
-
-    @property
-    def cell_area(self) -> float:
-        return self.dx * self.dy
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -365,6 +363,9 @@ class _Plan:
     Built once per thread on first use and kept in the thread's store under
     ``(grid, shape)``, the full grid with alpha, so a kernel call issues its
     ufunc and FFT calls with little else.  It holds the grid's numbers, the
+    scalar operand of every such call, as the shared read-only 0-d arrays of
+    :func:`_grid_numbers`: numpy converts a Python scalar operand to an
+    array on each call, and takes a 0-d array as it is.  It holds the
     stencil indices of :func:`_pass_indices` (``passes``), the bracket's
     passes, the shared Helmholtz symbol ``recip``, and four buffers with
     their views: ``pair`` (two stacks, ``pair0`` and ``pair1``: the
@@ -384,10 +385,11 @@ class _Plan:
     """
 
     __slots__ = (
-        "dx", "dy", "alpha2", "passes", "bracket_passes",
+        "half_dx", "half_dy", "two", "inv_dx2", "inv_dy2", "alpha2",
+        "J", "scale", "inv_K", "one", "passes", "bracket_passes",
         "pair", "pair0", "pair1", "work_layers", "sums", "sums_rows",
-        "J", "rfft", "real", "rest", "rows", "rows_b",
-        "spec", "spec_rest", "spec_f", "recip", "scale", "inv_K",
+        "rfft", "real", "rest", "rows", "rows_b",
+        "spec", "spec_rest", "spec_f", "recip",
     )
 
     def __init__(self, grid: GridSpec, shape: tuple[int, ...]):
@@ -395,8 +397,8 @@ class _Plan:
         lead = shape[:-2]
         n_rest = math.prod(shape[:-1])
         layers = n_rest // J
-        self.dx, self.dy = grid.dx, grid.dy
-        self.alpha2 = grid.alpha**2
+        (self.half_dx, self.half_dy, self.two, self.inv_dx2, self.inv_dy2, self.alpha2,
+         self.J, self.scale, self.inv_K, self.one) = _grid_numbers(K, J, grid.alpha)
         self.passes = passes = _pass_indices(K)
 
         self.pair = np.empty((2,) + shape)
@@ -407,7 +409,7 @@ class _Plan:
 
         res, work = self.pair0.ravel(), self.pair1.ravel()
         bracket = []
-        for axis, h in ((-1, self.dx), (-2, self.dy)):
+        for axis, half_h in ((-1, self.half_dx), (-2, self.half_dy)):
             (mid, next_, prev), edges = passes[axis]
             src, dst = (work, res) if axis == -1 else (self.pair1, self.pair0)
             velocity_pass = (
@@ -417,10 +419,9 @@ class _Plan:
             work_pass = ((work[next_], work[prev], res[mid]),) + tuple(
                 (src[n], src[p], dst[e]) for e, n, p in edges
             )
-            bracket.append((axis, 0.5 / h, velocity_pass, work_pass))
+            bracket.append((axis, half_h, velocity_pass, work_pass))
         self.bracket_passes = tuple(bracket)
 
-        self.J = J
         self.rfft = "rfft_n_even" if K % 2 == 0 else "rfft_n_odd"
         self.real = np.empty((n_rest + layers, K))
         self.rest = self.real[:n_rest].reshape(shape)
@@ -430,44 +431,42 @@ class _Plan:
         self.spec_rest = self.spec[:n_rest].reshape(lead + (J, K // 2 + 1))
         self.spec_f = self.spec.view(np.float64)
         self.recip = _helmholtz_symbol(K, J, grid.alpha, layers)
-        self.scale = 1.0 / (J * K)
-        self.inv_K = 1.0 / K
 
     def _pair(self, op, a: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
         """out[k] = op(a[k+1], a[k-1]) along ``axis`` (-1 or -2), periodic, in
         the three calls of ``passes``; ``out`` is C-contiguous."""
         (mid, next_, prev), edges = self.passes[axis]
         flat, res = a.ravel(), out.ravel()
-        op(flat[next_], flat[prev], out=res[mid])
+        op(flat[next_], flat[prev], res[mid])
         src, dst = (flat, res) if axis == -1 else (a, out)
         for edge, next_, prev in edges:
-            op(src[next_], src[prev], out=dst[edge])
+            op(src[next_], src[prev], dst[edge])
         return out
 
     def d1(self, a: np.ndarray, axis: int) -> np.ndarray:
         """Centered difference (a[k+1] - a[k-1]) * (0.5/h) along ``axis``, as
         a new array."""
         out = self._pair(np.subtract, a, axis, np.empty(a.shape))
-        return np.multiply(out, 0.5 / (self.dx if axis == -1 else self.dy), out=out)
+        return np.multiply(out, self.half_dx if axis == -1 else self.half_dy, out)
 
     def laplacian(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """5-point Laplacian: ((a[k+1] + a[k-1]) - 2a) * (1/h^2), x then y,
         written into ``out`` (a new array if None), with 2a in ``pair0`` and
         the y pass in ``rest``."""
-        two_a = np.multiply(a, 2.0, out=self.pair0)
+        two_a = np.multiply(a, self.two, self.pair0)
         lap = self._pair(np.add, a, -1, np.empty(a.shape) if out is None else out)
-        np.subtract(lap, two_a, out=lap)
-        np.multiply(lap, 1.0 / self.dx**2, out=lap)
+        np.subtract(lap, two_a, lap)
+        np.multiply(lap, self.inv_dx2, lap)
         lap_y = self._pair(np.add, a, -2, self.rest)
-        np.subtract(lap_y, two_a, out=lap_y)
-        np.multiply(lap_y, 1.0 / self.dy**2, out=lap_y)
-        return np.add(lap, lap_y, out=lap)
+        np.subtract(lap_y, two_a, lap_y)
+        np.multiply(lap_y, self.inv_dy2, lap_y)
+        return np.add(lap, lap_y, lap)
 
     def apply_q(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Q a = a - alpha^2 Lap a, written into ``out``."""
         q = self.laplacian(a, out)
-        np.multiply(q, self.alpha2, out=q)
-        return np.subtract(a, q, out=q)
+        np.multiply(q, self.alpha2, q)
+        return np.subtract(a, q, q)
 
     def solve(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Spectral Q-solve of a stack of fields in one pass, written into
@@ -514,31 +513,31 @@ class _Plan:
 
         # np.mean's arithmetic without its Python wrapper.
         np.add.reduce(a, axis=-2, out=rows)
-        np.true_divide(rows, self.J, out=rows)
+        np.true_divide(rows, self.J, rows)
         rest[...] = self.rows_b
-        np.subtract(a, rest, out=rest)
-        getattr(fft, self.rfft)(self.real, 1.0, out=self.spec)
-        fft.fft(self.spec_rest, 1.0, axes=_Y_AXES, out=self.spec_rest)
-        np.multiply(self.spec_f, self.recip, out=self.spec_f)
-        fft.ifft(self.spec_rest, 1.0, axes=_Y_AXES, out=self.spec_rest)
-        fft.irfft(self.spec, 1.0, out=self.real)
-        u = np.multiply(rest, self.scale, out=out)
-        np.multiply(rows, self.inv_K, out=rows)
+        np.subtract(a, rest, rest)
+        getattr(fft, self.rfft)(self.real, self.one, out=self.spec)
+        fft.fft(self.spec_rest, self.one, axes=_Y_AXES, out=self.spec_rest)
+        np.multiply(self.spec_f, self.recip, self.spec_f)
+        fft.ifft(self.spec_rest, self.one, axes=_Y_AXES, out=self.spec_rest)
+        fft.irfft(self.spec, self.one, out=self.real)
+        u = np.multiply(rest, self.scale, out)
+        np.multiply(rows, self.inv_K, rows)
         rest[...] = self.rows_b
-        return np.add(u, rest, out=u)
+        return np.add(u, rest, u)
 
     def square_sums(self, a: np.ndarray, b: np.ndarray) -> list[list[float]]:
         """[per-layer sum(a*a), per-layer sum((a - b)**2)], from one
         reduction over the two squares in the work array.  ``b`` may be
         ``pair1``."""
-        d = np.subtract(a, b, out=self.pair1)
+        d = np.subtract(a, b, self.pair1)
         return self.product_sums(a, a, d, d)
 
     def product_sums(self, a, b, c, d) -> list[list[float]]:
         """[per-layer sum(a*b), per-layer sum(c*d)], from one reduction
         over the two products in the work array."""
-        np.multiply(a, b, out=self.pair0)
-        np.multiply(c, d, out=self.pair1)
+        np.multiply(a, b, self.pair0)
+        np.multiply(c, d, self.pair1)
         np.add.reduce(self.pair, axis=(-2, -1), out=self.sums)
         return self.sums_rows.tolist()
 
@@ -568,21 +567,21 @@ class _Plan:
         # Direction c (x, then y) gives component c its m1*dc(v1) + m2*dc(v2),
         # and then adds dc(m*v_c) to both components.
         for c, (axis, scale, ((next_, prev, dst), edges), _) in enumerate(self.bracket_passes):
-            np.subtract(flat[next_], flat[prev], out=dst)
+            np.subtract(flat[next_], flat[prev], dst)
             edge_src = flat if axis == -1 else v
             for next_, prev, dst in edges:
-                np.subtract(edge_src[next_], edge_src[prev], out=dst)
-            np.multiply(diff, scale, out=diff)
-            np.multiply(m, diff, out=work)
-            np.add(work1, work2, out=out[c])
+                np.subtract(edge_src[next_], edge_src[prev], dst)
+            np.multiply(diff, scale, diff)
+            np.multiply(m, diff, work)
+            np.add(work1, work2, out[c])
         for c, (_, scale, _, calls) in enumerate(self.bracket_passes):
             v_c = v[c]
-            np.multiply(m1, v_c, out=work1)
-            np.multiply(m2, v_c, out=work2)
+            np.multiply(m1, v_c, work1)
+            np.multiply(m2, v_c, work2)
             for next_, prev, dst in calls:
-                np.subtract(next_, prev, out=dst)
-            np.multiply(diff, scale, out=diff)
-            np.add(out, diff, out=out)
+                np.subtract(next_, prev, dst)
+            np.multiply(diff, scale, diff)
+            np.add(out, diff, out)
         return out
 
     def bracket_component(self, c: int, m: np.ndarray, v: np.ndarray, out_c: np.ndarray):
@@ -593,20 +592,20 @@ class _Plan:
         axis, scale, ((next_, prev, dst), edges), _ = self.bracket_passes[c]
         for layer in (0, 1):
             flat = v[layer].ravel()
-            np.subtract(flat[next_], flat[prev], out=dst)
+            np.subtract(flat[next_], flat[prev], dst)
             edge_src = flat if axis == -1 else v[layer]
             for n, p, d in edges:
-                np.subtract(edge_src[n], edge_src[p], out=d)
-            np.multiply(diff, scale, out=diff)
-            np.multiply(m[layer], diff, out=work if layer else out_c)
-        np.add(out_c, work, out=out_c)
+                np.subtract(edge_src[n], edge_src[p], d)
+            np.multiply(diff, scale, diff)
+            np.multiply(m[layer], diff, work if layer else out_c)
+        np.add(out_c, work, out_c)
         m_c = m[c]
         for (_, scale, _, calls), v_d in zip(self.bracket_passes, v):
-            np.multiply(m_c, v_d, out=work)
+            np.multiply(m_c, v_d, work)
             for n, p, d in calls:
-                np.subtract(n, p, out=d)
-            np.multiply(diff, scale, out=diff)
-            np.add(out_c, diff, out=out_c)
+                np.subtract(n, p, d)
+            np.multiply(diff, scale, diff)
+            np.add(out_c, diff, out_c)
 
 
 class _SplitPlan:
@@ -728,6 +727,27 @@ def _helmholtz_symbol(K: int, J: int, alpha: float, layers: int) -> np.ndarray:
     recip = np.repeat(1.0 / stack, 2, axis=-1)
     recip.setflags(write=False)
     return recip
+
+
+@lru_cache(maxsize=32)
+def _grid_numbers(K: int, J: int, alpha: float) -> tuple[np.ndarray, ...]:
+    """The scalar operands of a plan's ufunc and transform calls on a
+    K-by-J grid, as read-only 0-d views of one float64 vector: 0.5/dx,
+    0.5/dy, 2, 1/dx^2, 1/dy^2, alpha^2, J, 1/(J K), 1/K and 1.
+
+    numpy converts a Python scalar operand to an array on every call, which
+    costs about a quarter of a microsecond; it takes a 0-d array as it is.
+    Each number is the float64 the Python expression gives, so every result
+    keeps its bits.  The views are read-only, and the plans of every thread
+    on the grid share them.
+    """
+    dx, dy = 2.0 / K, 2.0 / J
+    values = np.array([
+        0.5 / dx, 0.5 / dy, 2.0, 1.0 / dx**2, 1.0 / dy**2, alpha**2,
+        J, 1.0 / (J * K), 1.0 / K, 1.0,
+    ])
+    values.setflags(write=False)
+    return tuple(values[i, ...] for i in range(values.size))
 
 
 # The gufunc axes of a transform along y: the input's, none for the length

@@ -603,6 +603,88 @@ class TestKernels:
             for got, expected in zip(warm, fresh, strict=True):
                 assert same_bits(got, expected)
 
+    def test_plans_of_a_grid_share_read_only_numbers(self):
+        # A plan's scalar operands are 0-d views of one read-only float64
+        # vector per grid, shared by the (J, K) and (2, J, K) plans of every
+        # thread: no kernel call can change a number another plan reads.
+        g = GridSpec(20, 12, 0.7)
+        names = (
+            "half_dx", "half_dy", "two", "inv_dx2", "inv_dy2", "alpha2",
+            "J", "scale", "inv_K", "one",
+        )
+
+        def numbers():
+            return [
+                [getattr(_plan(g, lead + g.shape), name) for name in names]
+                for lead in ((), (2,))
+            ]
+
+        layer, stack = numbers()
+        other = []
+        thread = threading.Thread(target=lambda: other.extend(numbers()))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        shared = layer[0].base
+        assert not shared.flags.writeable
+        for plan_numbers in (layer, stack, *other):
+            assert all(x is y for x, y in zip(plan_numbers, layer, strict=True))
+        for x in layer:
+            assert x.ndim == 0 and x.dtype == np.float64 and x.base is shared
+            with pytest.raises(ValueError):
+                x[...] = 1.0
+            with pytest.raises(ValueError):
+                np.add(x, 1.0, out=x)
+        with pytest.raises(ValueError):
+            shared[0] = 1.0
+        assert [float(x) for x in layer] == [
+            0.5 / g.dx, 0.5 / g.dy, 2.0, 1.0 / g.dx**2, 1.0 / g.dy**2, g.alpha**2,
+            g.J, 1.0 / (g.J * g.K), 1.0 / g.K, 1.0,
+        ]
+
+    def test_kernels_pass_only_array_operands(self, rng, monkeypatch):
+        # numpy converts a Python scalar operand on every call; every
+        # positional operand of a kernel's ufunc and transform calls is an
+        # array.
+        scalars = []
+
+        class CheckedUfunc:
+            def __init__(self, name, ufunc):
+                self.name, self.ufunc, self.reduce = name, ufunc, ufunc.reduce
+
+            def __call__(self, *args, **kwargs):
+                scalars.extend((self.name, x) for x in args if not isinstance(x, np.ndarray))
+                return self.ufunc(*args, **kwargs)
+
+        class Checked:
+            def __init__(self, module):
+                self.module = module
+
+            def __getattr__(self, name):
+                target = getattr(self.module, name)
+                return CheckedUfunc(name, target) if isinstance(target, np.ufunc) else target
+
+        for g in (GridSpec(20, 20, 0.7), GridSpec(15, 12, 0.3)):
+            for lead in ((), (2,)):
+                a, b, c, d = rng.standard_normal((4,) + lead + g.shape)
+                m, v = rng.standard_normal((2, 2) + g.shape)
+                plan, pair = _plan(g, lead + g.shape), _plan(g, (2,) + g.shape)
+                monkeypatch.setattr(grid_module, "np", Checked(np))
+                monkeypatch.setattr(
+                    grid_module, "_pocketfft_umath", Checked(grid_module._pocketfft_umath)
+                )
+                plan.d1(a, -1)
+                plan.d1(a, -2)
+                plan.laplacian(a)
+                plan.apply_q(a, np.empty(a.shape))
+                plan.solve(a, np.empty(a.shape))
+                plan.square_sums(a, b)
+                plan.product_sums(a, b, c, d)
+                pair.bracket(m, v)
+                _plan(g, g.shape).bracket_component(1, m, v, np.empty(g.shape))
+                monkeypatch.undo()
+        assert scalars == []
+
     def test_thread_drops_its_plans_for_another_grid_shape(self, rng):
         # A step of every scheme label and the object-layer stencils leave
         # only (grid, shape) -> _Plan entries in the thread's store; kernels
@@ -1003,3 +1085,87 @@ def test_y_constant_input_stays_y_constant(K, J, alpha, seed):
         outputs += [s.u.values, s.m.values]
     for x in outputs:
         assert same_bits(x, np.repeat(x[..., :1, :], J, axis=-2))
+
+
+# The grid's symmetries on a (2, J, K) stack of vector components.  Each
+# reflection maps index i to -i mod n along its axis and negates the
+# component along it; a shift moves every entry one cell; the swap of x and
+# y (square grids) transposes each layer and swaps the components.
+def reflect_x(a):
+    b = np.roll(a[..., ::-1], 1, axis=-1)
+    b[0] *= -1.0
+    return b
+
+
+def reflect_y(a):
+    b = np.roll(a[..., ::-1, :], 1, axis=-2)
+    b[1] *= -1.0
+    return b
+
+
+def swap_xy(a):
+    return np.ascontiguousarray(np.swapaxes(a[::-1], -1, -2))
+
+
+GRID_MAPS = {
+    "reflect_x": reflect_x,
+    "reflect_y": reflect_y,
+    "shift_x": lambda a: np.roll(a, 1, axis=-1),
+    "shift_y": lambda a: np.roll(a, 1, axis=-2),
+}
+
+# Worst max-norm relative miss over 20 random draws per grid below: the
+# Q-solve 1.6e-15 (any map), the bracket under the swap 2.3e-16, one step of
+# rk4, scheme1 or scheme2 4.4e-15, of scheme3 1.3e-15.  Each bound leaves a
+# margin of 3 to 5; scheme3's CG stops at a relative residual of 1e-13, so
+# two runs may stop an iteration apart, and its bound is ten times that.
+SOLVE_MISS = 5e-15
+SWAPPED_BRACKET_MISS = 1e-15
+STEP_MISS = 2e-14
+SCHEME3_STEP_MISS = 1e-12
+
+
+def relative_miss(got, expected) -> float:
+    return float(np.abs(got - expected).max() / np.abs(expected).max())
+
+
+@pytest.mark.parametrize("k,j", [(16, 16), (20, 20), (33, 33), (17, 12)])
+def test_kernels_and_steps_commute_with_the_grid_symmetries(k, j, rng):
+    # The bracket and apply-Q commute with both reflections and both shifts
+    # bit for bit, on any platform: their arithmetic is elementwise and its
+    # order does not depend on the index.  The Q-solve's transforms and the
+    # steps that use them commute to rounding.  On a square grid so does
+    # the swap of x and y; apply-Q keeps its bits there too, while the
+    # bracket adds its x terms before its y terms and the solve splits off
+    # the y-mean.
+    g = GridSpec(k, j, 0.7)
+    a, m, v, u = rng.standard_normal((4, 2) + g.shape)
+    s0 = State.from_velocity(FieldPair.from_arrays(g, *u))
+    dt = 0.2 * min(g.dx, g.dy) / float(np.abs(s0.m.values).max())
+    s1 = step_rk4(s0, dt).state
+    cfg = SchemeConfig(SchemeKind.SCHEME1_PC, dt, Tolerance(1e-14, 200))
+    steps = {
+        "rk4": (lambda p, c: step_rk4(c, dt), STEP_MISS),
+        "scheme1": (lambda p, c: step_scheme1_pc(p, c, dt, cfg), STEP_MISS),
+        "scheme2": (lambda p, c: step_scheme2(p, c, dt), STEP_MISS),
+        "scheme3": (lambda p, c: step_scheme3(p, c, dt), SCHEME3_STEP_MISS),
+    }
+    maps = dict(GRID_MAPS, swap_xy=swap_xy) if k == j else GRID_MAPS
+
+    def mapped(s, T):
+        return State(FieldPair._wrap(g, T(s.u.values)), FieldPair._wrap(g, T(s.m.values)), s.t)
+
+    for name, T in maps.items():
+        bracket = _gamma_arrays(T(m), T(v), g), T(_gamma_arrays(m, v, g))
+        assert same_bits(_apply_q_arr(T(a), g), T(_apply_q_arr(a, g))), name
+        if name == "swap_xy":
+            assert relative_miss(*bracket) <= SWAPPED_BRACKET_MISS
+        else:
+            assert same_bits(*bracket), name
+        assert relative_miss(_solve_q_stack_arr(T(a), g), T(_solve_q_stack_arr(a, g))) <= SOLVE_MISS
+        assert relative_miss(_solve_q_checked(T(a), g)[0], T(_solve_q_checked(a, g)[0])) <= SOLVE_MISS
+        for scheme, (step, bound) in steps.items():
+            got = step(mapped(s0, T), mapped(s1, T)).state
+            expected = step(s0, s1).state
+            for x, y in ((got.u, expected.u), (got.m, expected.m)):
+                assert relative_miss(x.values, T(y.values)) <= bound, (name, scheme)

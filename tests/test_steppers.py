@@ -26,6 +26,7 @@ from epdiff import (
     SchemeKind,
     State,
     Tolerance,
+    WaveFrontSpec,
     apply_q,
     energy_half_scheme2,
     energy_half_scheme3,
@@ -34,12 +35,14 @@ from epdiff import (
     integrate,
     linear_momenta,
     norm,
+    relative_l2_error,
     sine_profile,
     solvability_dt_bound,
     step_rk4,
     step_scheme1_pc,
     step_scheme2,
     step_scheme3,
+    wavefront_profile,
 )
 from epdiff.core import _corrector_norms, _gamma_arrays
 from epdiff.grid import _solve_q_stack_arr
@@ -888,3 +891,50 @@ def test_two_level_schemes_retrace_drawn_states(K, J, alpha, seed, n, kind):
     s0, dt = _drawn_state(K, J, alpha, seed)
     returned = _retraced(s0, kind, dt, s0.t + n * dt)
     assert norm(returned.u - s0.u) <= 1e-11 * norm(s0.u)
+
+
+# The order in time of every scheme on a two-dimensional state: a 32^2
+# plate front (sigma = alpha = 0.1, amplitude 0.5) run to T = 0.25 with
+# dt = dx/4, dx/8, dx/16 and dx/32, against RK4 at dx/256.  Measured slopes
+# between successive dt: 1.94-2.00 for the three DVDM schemes (scheme1 and
+# scheme1-fixed=3 1.95, 1.98, 1.99, or 2.00 each after a scheme1 bootstrap;
+# scheme2 1.96, 1.98, 1.99, or 1.94, 1.97, 1.99 after a scheme1 bootstrap;
+# scheme3 2.00 each), and 4.01-4.02 for rk4.  Each slope may lie 0.05 beyond that range.  Errors at dx/32 were
+# 1.1e-5 to 2.3e-5 and 1.8e-10; each bound is about 1.5 times the largest.
+ORDER_RATIOS = (4, 8, 16, 32)
+ORDER_CASES = {
+    "scheme1": (SchemeKind.SCHEME1_PC, Tolerance(1e-14, 200), BootstrapKind.RK4),
+    "scheme1-fixed=3": (SchemeKind.SCHEME1_PC, FixedCount(3), BootstrapKind.RK4),
+    "scheme2": (SchemeKind.SCHEME2, Tolerance(1e-14, 200), BootstrapKind.RK4),
+    "scheme3": (SchemeKind.SCHEME3, Tolerance(1e-14, 200), BootstrapKind.RK4),
+    "rk4": (SchemeKind.RK4, Tolerance(1e-14, 200), BootstrapKind.RK4),
+    "scheme1-bootstrap-scheme1": (
+        SchemeKind.SCHEME1_PC, Tolerance(1e-14, 200), BootstrapKind.SCHEME1_FIXED_POINT
+    ),
+    "scheme2-bootstrap-scheme1": (
+        SchemeKind.SCHEME2, Tolerance(1e-14, 200), BootstrapKind.SCHEME1_FIXED_POINT
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def plate_front_reference():
+    g = GridSpec(32, 32, 0.1)
+    s0 = wavefront_profile(WaveFrontSpec.plate(sigma=0.1, amplitude=0.5), g)
+    reference = integrate(s0, SchemeConfig(SchemeKind.RK4, g.dx / 256), 0.25)
+    return s0, reference.states_tail[-1].u
+
+
+@pytest.mark.parametrize("label", ORDER_CASES)
+def test_order_in_time_on_a_plate_front(label, plate_front_reference):
+    s0, reference = plate_front_reference
+    kind, corrector, bootstrap = ORDER_CASES[label]
+    errors = []
+    for ratio in ORDER_RATIOS:
+        cfg = SchemeConfig(kind, s0.grid.dx / ratio, corrector, bootstrap)
+        final = integrate(s0, cfg, 0.25).states_tail[-1].u
+        errors.append(relative_l2_error(final, reference))
+    slopes = [math.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
+    low, high, finest = (3.96, 4.07, 3e-10) if kind is SchemeKind.RK4 else (1.89, 2.05, 3.5e-5)
+    assert all(low <= s <= high for s in slopes), slopes
+    assert errors[-1] <= finest, errors
