@@ -12,7 +12,6 @@ from .core import (
     energy_half_scheme2,
     energy_half_scheme3,
     energy_scheme1,
-    gamma_apply,
     linear_momenta,
 )
 from .diagnostics import (
@@ -33,12 +32,8 @@ from .grid import (
     GridSpec,
     ScalarField,
     apply_q,
-    d1x,
-    d1y,
-    d2,
     inner,
     norm,
-    solve_q,
 )
 from .profiles import (
     Arc,

@@ -3,7 +3,8 @@
 Usage:
     epdiff <run|conserve|convergence|reversibility|bench> [flags]
 
-Exit codes: 0 on success, 1 on numerical failure, 2 on configuration error.
+Exit codes: 0 on success, 1 on numerical failure, 2 on configuration error
+or on output that cannot be written.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
 
 

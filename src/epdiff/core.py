@@ -1,10 +1,10 @@
 """Transport bracket, discrete energies, and consistent velocity/momentum states.
 
-The central object is the bilinear bracket ``gamma_apply(m, v)`` whose
-skew-symmetry in the grid inner product drives every conservation property of
-the time steppers.  Evaluated at time-averaged arguments it realizes the
-midpoint-implicit scheme; evaluated at the current state it realizes the
-explicit leapfrog schemes.
+The central object is the bilinear bracket ``_gamma_arrays(m, v, grid)`` of
+two (2, J, K) stacks, whose skew-symmetry in the grid inner product drives
+every conservation property of the time steppers.  Evaluated at
+time-averaged arguments it realizes the midpoint-implicit scheme; evaluated
+at the current state it realizes the explicit leapfrog schemes.
 """
 
 from __future__ import annotations
@@ -22,12 +22,10 @@ from .grid import (
     apply_q,
     inner,
     norm,
-    solve_q,
 )
 
 __all__ = [
     "State",
-    "gamma_apply",
     "energy_scheme1",
     "energy_half_scheme2",
     "energy_half_scheme3",
@@ -40,9 +38,8 @@ class State:
     """A consistent (velocity, momentum) pair at one instant.
 
     The momentum is tied to the velocity by m_i = Q u_i.  Build states through
-    :meth:`from_velocity` (applies Q, cheap) or :meth:`from_momentum` (solves
-    Q u = m); the direct constructor is for steppers that already carry both
-    fields.
+    :meth:`from_velocity`, which applies Q; the direct constructor is for
+    steppers that already carry both fields.
     """
 
     u: FieldPair
@@ -61,10 +58,6 @@ class State:
     def from_velocity(cls, u: FieldPair, t: float = 0.0) -> "State":
         return cls(u=u, m=apply_q(u), t=t)
 
-    @classmethod
-    def from_momentum(cls, m: FieldPair, t: float = 0.0) -> "State":
-        return cls(u=solve_q(m), m=m, t=t)
-
     def momentum_defect(self) -> float:
         """Relative residual ||Q u - m|| / ||m|| (0 for the zero state)."""
         nm = norm(self.m)
@@ -78,20 +71,10 @@ class State:
 
 
 def _gamma_arrays(m: np.ndarray, v: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """The bracket of (2, J, K) momentum and velocity stacks, as one new
-    stack, by the plan's ``bracket`` kernel."""
+    """The discrete transport bracket of (2, J, K) momentum and velocity
+    stacks, bilinear and skew-symmetric in v for fixed m, as one new stack,
+    by the plan's ``bracket`` kernel, whose docstring spells out its terms."""
     return _plan(grid, m.shape).bracket(m, v)
-
-
-def gamma_apply(m: FieldPair, v: FieldPair) -> FieldPair:
-    """The discrete transport bracket, skew-symmetric in v for fixed m.
-
-    Component 1 is m1*d1x(v1) + m2*d1x(v2) + d1x(m1*v1) + d1y(m1*v2) and
-    component 2 is m1*d1y(v1) + m2*d1y(v2) + d1x(m2*v1) + d1y(m2*v2), with *
-    the Hadamard product.  Bilinear in (m, v).
-    """
-    _check_same_grid(m, v)
-    return FieldPair._wrap(m.grid, _gamma_arrays(m.values, v.values, m.grid))
 
 
 def energy_scheme1(s: State) -> float:

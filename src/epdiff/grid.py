@@ -6,9 +6,9 @@ indexed ``[j, k]`` with ``k`` the x-index and ``j`` the y-index, so the flat
 row-major buffer runs with k fastest; a two-component field stores its
 components as one (2, J, K) stack.
 
-The module provides the centered difference stencils, the 5-point
-Laplacian, the grid inner product and norm, and the screened-Laplacian
-operator ``Q = 1 - alpha^2 * Lap`` together with its spectral inverse.
+The module provides the grid inner product and norm, the screened-Laplacian
+operator ``Q = 1 - alpha^2 * Lap``, and the array kernels the steppers run:
+the bracket's stencil passes, the 5-point Laplacian and Q's spectral inverse.
 """
 
 from __future__ import annotations
@@ -31,11 +31,7 @@ __all__ = [
     "FieldPair",
     "inner",
     "norm",
-    "d1x",
-    "d1y",
-    "d2",
     "apply_q",
-    "solve_q",
     "QSOLVE_RTOL",
 ]
 
@@ -443,18 +439,12 @@ class _Plan:
             op(src[next_], src[prev], dst[edge])
         return out
 
-    def d1(self, a: np.ndarray, axis: int) -> np.ndarray:
-        """Centered difference (a[k+1] - a[k-1]) * (0.5/h) along ``axis``, as
-        a new array."""
-        out = self._pair(np.subtract, a, axis, np.empty(a.shape))
-        return np.multiply(out, self.half_dx if axis == -1 else self.half_dy, out)
-
-    def laplacian(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def laplacian(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
         """5-point Laplacian: ((a[k+1] + a[k-1]) - 2a) * (1/h^2), x then y,
-        written into ``out`` (a new array if None), with 2a in ``pair0`` and
-        the y pass in ``rest``."""
+        written into ``out``, with 2a in ``pair0`` and the y pass in
+        ``rest``."""
         two_a = np.multiply(a, self.two, self.pair0)
-        lap = self._pair(np.add, a, -1, np.empty(a.shape) if out is None else out)
+        lap = self._pair(np.add, a, -1, out)
         np.subtract(lap, two_a, lap)
         np.multiply(lap, self.inv_dx2, lap)
         lap_y = self._pair(np.add, a, -2, self.rest)
@@ -686,21 +676,6 @@ def _apply_q_arr(
     return _plan(grid, a.shape).apply_q(a, np.empty(a.shape) if out is None else out)
 
 
-def d1x(f: ScalarField) -> ScalarField:
-    """Centered first difference in x with periodic wraparound."""
-    return ScalarField._wrap(f.grid, _plan(f.grid, f.grid.shape).d1(f.values, -1))
-
-
-def d1y(f: ScalarField) -> ScalarField:
-    """Centered first difference in y with periodic wraparound."""
-    return ScalarField._wrap(f.grid, _plan(f.grid, f.grid.shape).d1(f.values, -2))
-
-
-def d2(f: ScalarField) -> ScalarField:
-    """5-point periodic Laplacian."""
-    return ScalarField._wrap(f.grid, _plan(f.grid, f.grid.shape).laplacian(f.values))
-
-
 # ---------------------------------------------------------------------------
 # Screened Laplacian Q = 1 - alpha^2 Lap and its inverse.
 
@@ -793,17 +768,4 @@ def apply_q(u):
     """Apply Q = 1 - alpha^2 Lap to a :class:`ScalarField` or to both
     components of a :class:`FieldPair`."""
     return u._wrap(u.grid, _apply_q_arr(u.values, u.grid))
-
-
-def solve_q(m):
-    """Invert Q: return u with ||Q u - m|| <= 1e-12 ||m||.
-
-    Q is diagonal in the discrete Fourier basis with eigenvalues >= 1, so the
-    solve is a forward transform, a pointwise divide, and an inverse
-    transform.  Works on a :class:`ScalarField` or componentwise on a
-    :class:`FieldPair`.  Raises :class:`NumericalFailureError` (carrying the
-    achieved residual) if the residual check fails.
-    """
-    u, _ = _solve_q_checked(m.values, m.grid)
-    return m._wrap(m.grid, u)
 

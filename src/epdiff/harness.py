@@ -112,7 +112,6 @@ def _run_header(cfg: ExperimentConfig, grid: GridSpec, dt: float) -> dict:
 
 def _write_summary(cfg: ExperimentConfig, payload: dict) -> None:
     payload = {"command": cfg.command, "seed": cfg.seed, **payload}
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.out_dir / "summary.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -149,7 +148,7 @@ def cmd_conserve(cfg: ExperimentConfig) -> int:
             snapshot_every=cfg.snapshot_every,
         )
         scheme_dir = cfg.out_dir / sel.label
-        scheme_dir.mkdir(parents=True, exist_ok=True)
+        scheme_dir.mkdir(exist_ok=True)
         write_invariants_csv(scheme_dir / "invariants.csv", record)
         for index, (t, u) in enumerate(record.snapshots):
             write_snapshot(u, t, scheme_dir / f"snap_{index * cfg.snapshot_every:08d}.bin")
@@ -291,4 +290,6 @@ def run_command(cfg: ExperimentConfig) -> int:
         "reversibility": cmd_reversibility,
         "bench": cmd_bench,
     }
+    # An --out that cannot be created fails here, before any run.
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     return dispatch[cfg.command](cfg)

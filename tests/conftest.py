@@ -5,6 +5,8 @@ import pytest
 from hypothesis import settings
 
 from epdiff import FieldPair, GridSpec, ScalarField, State
+from epdiff.core import _gamma_arrays
+from epdiff.grid import _plan, _solve_q_checked
 
 # Every property test draws the same examples on every run: no example
 # database, no deadline; each test sets only its ``max_examples``.
@@ -38,6 +40,29 @@ def random_pair(grid: GridSpec, rng) -> FieldPair:
 
 def random_state(grid: GridSpec, rng, t: float = 0.0) -> State:
     return State.from_velocity(random_pair(grid, rng), t=t)
+
+
+# The operators the tests state identities in, as calls of the package's
+# kernels; d1x and d1y are the np.roll centred difference, which the
+# bracket's stencil passes match bit for bit.
+def d1x(f):
+    return f._wrap(f.grid, (np.roll(f.values, -1, -1) - np.roll(f.values, 1, -1)) * (0.5 / f.grid.dx))
+
+
+def d1y(f):
+    return f._wrap(f.grid, (np.roll(f.values, -1, -2) - np.roll(f.values, 1, -2)) * (0.5 / f.grid.dy))
+
+
+def d2(f):
+    return f._wrap(f.grid, _plan(f.grid, f.values.shape).laplacian(f.values, np.empty(f.values.shape)))
+
+
+def solve_q(m):
+    return m._wrap(m.grid, _solve_q_checked(m.values, m.grid)[0])
+
+
+def gamma_apply(m, v):
+    return m._wrap(m.grid, _gamma_arrays(m.values, v.values, m.grid))
 
 
 # Reference operators that no run uses: the one-sided differences behind the

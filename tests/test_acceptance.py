@@ -26,10 +26,6 @@ from epdiff import (
     Tolerance,
     apply_q,
     convergence_study,
-    d1x,
-    d1y,
-    d2,
-    gamma_apply,
     inner,
     integrate,
     invariant_stats,
@@ -37,7 +33,6 @@ from epdiff import (
     reversibility_test,
     sine_profile,
     solvability_dt_bound,
-    solve_q,
     step_rk4,
     step_scheme1_pc,
     step_scheme2,
@@ -45,7 +40,19 @@ from epdiff import (
 )
 from epdiff.diagnostics import fit_loglog_slope
 from epdiff.profiles import WaveFrontSpec, wavefront_profile
-from conftest import dminus_x, dplus_x, random_field, random_pair, random_state, solve_q_dense
+from conftest import (
+    d1x,
+    d1y,
+    d2,
+    dminus_x,
+    dplus_x,
+    gamma_apply,
+    random_field,
+    random_pair,
+    random_state,
+    solve_q,
+    solve_q_dense,
+)
 
 
 def check(criterion: str, ok: bool, detail: str) -> None:

@@ -714,6 +714,21 @@ class TestExitCodes:
         assert code == 2
         assert not list(tmp_path.iterdir())
 
+    def test_uncreatable_out_exits_two_before_any_run(self, tmp_path, monkeypatch, capsys):
+        # An --out below a regular file used to fail after the first scheme's
+        # run, in its mkdir, with a NotADirectoryError traceback and exit 1.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        calls = []
+        monkeypatch.setattr("epdiff.harness.integrate", lambda *a, **k: calls.append(a))
+        code = run_cli(
+            "run", "--grid", "8", "--profile", "sine", "--dt", "0.005",
+            "--t-final", "0.01", "--out", str(blocker / "sub"),
+        )
+        assert code == 2 and not calls
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+
     def test_numerical_failure_exits_one(self, tmp_path):
         # dt far beyond the stability limit of the sine benchmark.
         with np.errstate(all="ignore"):

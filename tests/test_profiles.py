@@ -11,12 +11,12 @@ from epdiff import (
     GridSpec,
     Segment,
     WaveFrontSpec,
-    d2,
     default_spec,
     norm,
     sine_profile,
     wavefront_profile,
 )
+from conftest import d2
 
 
 class TestSineProfile:

@@ -2,6 +2,7 @@
 
 import ast
 import graphlib
+import inspect
 import math
 import subprocess
 import sys
@@ -31,7 +32,6 @@ from epdiff import (
     energy_half_scheme2,
     energy_half_scheme3,
     energy_scheme1,
-    gamma_apply,
     integrate,
     linear_momenta,
     norm,
@@ -47,7 +47,7 @@ from epdiff import (
 from epdiff.core import _corrector_norms, _gamma_arrays
 from epdiff.grid import _solve_q_stack_arr
 from epdiff.steppers import SCHEME3_RESIDUAL_CAP, _bootstrap_result
-from conftest import random_pair, random_state, same_bits
+from conftest import gamma_apply, random_pair, random_state, same_bits
 
 
 def ref_pair_norm(a, g):
@@ -423,6 +423,38 @@ def test_modules_reach_a_plan_only_through_its_kernel_methods():
             assert isinstance(parent[method], ast.Call) and parent[method].func is method, (
                 path.name, node.lineno
             )
+
+
+def test_public_functions_of_grid_and_core_have_a_caller():
+    # A public operator that only tests call is a second kernel layer to
+    # keep in step with the one the steppers run.  Every public function of
+    # grid and core is imported and read by name in another package module
+    # or in the benchmark (perfbench/).
+    import epdiff
+    from epdiff import core, grid
+
+    sources = sorted(Path(epdiff.__file__).parent.glob("*.py"))
+    bench = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
+    assert bench
+    missing = []
+    for module in (grid, core):
+        stem = module.__name__.rsplit(".", 1)[1]
+        used = set()
+        for path in sources + bench:
+            if path.samefile(module.__file__):
+                continue
+            tree = ast.parse(path.read_text())
+            imported = {
+                alias.asname or alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module in (stem, f"epdiff.{stem}", "epdiff")
+                for alias in node.names
+            }
+            used |= imported & {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        public = {name for name in module.__all__ if inspect.isfunction(getattr(module, name))}
+        missing += [f"{stem}.{name}" for name in sorted(public - used)]
+    assert not missing, f"no caller outside their module: {missing}"
 
 
 class TestScheme1PredictorCorrector:
