@@ -52,7 +52,6 @@ from .steppers import (
     SchemeKind,
     SeriesRow,
     StepResult,
-    Tolerance,
     integrate,
     solvability_dt_bound,
     step_rk4,

@@ -17,14 +17,7 @@ from typing import Callable
 
 from .errors import ConfigError
 from .profiles import FrontKind, default_spec
-from .steppers import (
-    DEFAULT_CORRECTOR,
-    BootstrapKind,
-    CorrectorMode,
-    FixedCount,
-    SchemeConfig,
-    SchemeKind,
-)
+from .steppers import BootstrapKind, FixedCount, SchemeConfig, SchemeKind
 
 __all__ = [
     "OPTIONS", "SchemeSelection", "ExperimentConfig", "parse_scheme_label", "read_config_file"
@@ -35,11 +28,11 @@ COMMANDS = ("run", "conserve", "convergence", "reversibility", "bench")
 
 @dataclass(frozen=True)
 class SchemeSelection:
-    """One requested scheme variant: kind plus corrector mode and label."""
+    """One requested scheme variant: kind plus corrector and label."""
 
     label: str
     kind: SchemeKind
-    corrector: CorrectorMode
+    corrector: FixedCount | None
 
     def build(self, dt: float, bootstrap: BootstrapKind) -> SchemeConfig:
         return SchemeConfig(
@@ -49,7 +42,7 @@ class SchemeSelection:
 
 def parse_scheme_label(label: str) -> SchemeSelection:
     """Parse one scheme label: scheme1 | scheme1-fixed=N | scheme2 | scheme3 | rk4.
-    Every label but ``scheme1-fixed=N`` carries ``DEFAULT_CORRECTOR``."""
+    Every label but ``scheme1-fixed=N`` carries the corrector ``None``."""
     label = label.strip()
     if label.startswith("scheme1-fixed="):
         try:
@@ -62,7 +55,7 @@ def parse_scheme_label(label: str) -> SchemeSelection:
         kind = SchemeKind(label)
     except ValueError:
         raise ConfigError(f"unknown scheme {label!r}") from None
-    return SchemeSelection(label, kind, DEFAULT_CORRECTOR)
+    return SchemeSelection(label, kind, None)
 
 
 # Parsers of option text.  Each raises ValueError with a phrase that

@@ -25,7 +25,7 @@ from .errors import ConfigError, NumericalFailureError
 from .grid import GridSpec
 from .profiles import FrontKind, WaveFrontSpec, default_spec, sine_profile, wavefront_profile
 from .snapshots import write_snapshot
-from .steppers import RunRecord, SeriesRow, integrate
+from .steppers import RunRecord, SeriesRow, integrate, step_count
 
 __all__ = [
     "cmd_conserve",
@@ -55,12 +55,6 @@ def _front_spec(cfg: ExperimentConfig) -> WaveFrontSpec:
         amplitude=cfg.amplitude,
         gaussian_cross_section=cfg.gaussian_cross_section,
     )
-
-
-def _sigma_of(cfg: ExperimentConfig) -> float | None:
-    if cfg.profile == "sine":
-        return None
-    return _front_spec(cfg).sigma
 
 
 def _initial_state(cfg: ExperimentConfig, grid: GridSpec) -> State:
@@ -160,21 +154,7 @@ def cmd_conserve(cfg: ExperimentConfig) -> int:
 def cmd_convergence(cfg: ExperimentConfig) -> int:
     """Self-convergence with dt = dx over nested grids against a fine reference."""
     sizes = [k for k, j in cfg.grids]
-    if len(sizes) < 2:
-        raise ConfigError(f"convergence needs at least two grids, got {len(sizes)}")
-    for k, j in cfg.grids:
-        if k != j:
-            raise ConfigError("convergence grids must be square (K = J)")
-    reference, ref_j = cfg.reference_grid
-    if reference != ref_j:
-        raise ConfigError("reference grid must be square")
-    for n in sizes:
-        if n >= reference:
-            raise ConfigError(
-                f"grid {n} must be strictly coarser than the reference {reference}"
-            )
-    if len(cfg.schemes) != 1:
-        raise ConfigError(f"convergence takes one scheme, got {len(cfg.schemes)}")
+    reference = cfg.reference_grid[0]
     (sel,) = cfg.schemes
     template = sel.build(1.0, cfg.bootstrap)
 
@@ -209,7 +189,7 @@ def cmd_reversibility(cfg: ExperimentConfig) -> int:
     """Forward-reverse-return experiment; errors reported in percent."""
     grid = _grid(cfg)
     dt = cfg.resolve_dt(grid.dx)
-    sigma = _sigma_of(cfg)
+    sigma = None if cfg.profile == "sine" else _front_spec(cfg).sigma
     ratio = grid.alpha / sigma if sigma else math.nan
     rows = []
 
@@ -282,6 +262,49 @@ def cmd_bench(cfg: ExperimentConfig) -> int:
     return code
 
 
+def _check(cfg: ExperimentConfig) -> None:
+    """Refuse, before any output exists, what no run of ``cfg`` can do: a
+    front that does not fit the domain, convergence grids that cannot be
+    compared, and a stepped grid whose dt does not divide ``t_final``."""
+    if cfg.profile != "sine":
+        try:
+            _front_spec(cfg)
+        except ValueError as exc:
+            raise ConfigError(f"{cfg.profile} front: {exc}") from None
+    if cfg.command == "bench":  # it times a fixed number of steps
+        return
+    if cfg.command == "convergence":
+        sizes = [k for k, j in cfg.grids]
+        if len(sizes) < 2:
+            raise ConfigError(f"convergence needs at least two grids, got {len(sizes)}")
+        for k, j in cfg.grids:
+            if k != j:
+                raise ConfigError("convergence grids must be square (K = J)")
+        reference, ref_j = cfg.reference_grid
+        if reference != ref_j:
+            raise ConfigError("reference grid must be square")
+        for n in sizes:
+            if n >= reference:
+                raise ConfigError(
+                    f"grid {n} must be strictly coarser than the reference {reference}"
+                )
+            if reference % n:
+                raise ConfigError(f"grid size {n} does not nest into reference {reference}")
+        if len(cfg.schemes) != 1:
+            raise ConfigError(f"convergence takes one scheme, got {len(cfg.schemes)}")
+        # Every level and the reference run at dt = dx.
+        grids = [GridSpec(n, n, cfg.alpha) for n in (*sizes, reference)]
+        stepped = [(grid, grid.dx) for grid in grids]
+    else:
+        grid = _grid(cfg)
+        stepped = [(grid, cfg.resolve_dt(grid.dx))]
+    for grid, dt in stepped:
+        try:
+            step_count(0.0, cfg.t_final, dt)  # every profile starts at t = 0
+        except ValueError as exc:
+            raise ConfigError(f"grid {grid.K}x{grid.J}: {exc}") from None
+
+
 def run_command(cfg: ExperimentConfig) -> int:
     dispatch = {
         "run": cmd_conserve,
@@ -290,6 +313,7 @@ def run_command(cfg: ExperimentConfig) -> int:
         "reversibility": cmd_reversibility,
         "bench": cmd_bench,
     }
+    _check(cfg)
     # An --out that cannot be created fails here, before any run.
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     return dispatch[cfg.command](cfg)

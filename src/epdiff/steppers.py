@@ -12,7 +12,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "SchemeKind",
     "BootstrapKind",
     "FixedCount",
-    "Tolerance",
     "SchemeConfig",
     "StepResult",
     "SeriesRow",
@@ -49,6 +48,7 @@ __all__ = [
     "step_scheme3",
     "step_rk4",
     "solvability_dt_bound",
+    "step_count",
     "integrate",
 ]
 
@@ -72,12 +72,11 @@ class BootstrapKind(str, Enum):
     SCHEME1_FIXED_POINT = "scheme1"
 
 
-def _pass_count(value, name: str) -> int:
-    """A corrector pass count as an int; ValueError unless ``value`` is a
-    whole number of at least 1 (``range`` would reject any other mid-run)."""
-    if not (1 <= value < math.inf and int(value) == value):
-        raise ValueError(f"corrector {name} must be an integer of at least 1, got {value!r}")
-    return int(value)
+# scheme1's corrector, unless a FixedCount is given, stops once successive
+# momentum iterates agree to CORRECTOR_RTOL in relative grid norm, and fails
+# after CORRECTOR_MAX_PASSES passes.
+CORRECTOR_RTOL = 1e-14
+CORRECTOR_MAX_PASSES = 200
 
 
 @dataclass(frozen=True)
@@ -87,39 +86,30 @@ class FixedCount:
     count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "count", _pass_count(self.count, "count"))
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Iterate the corrector until successive momentum iterates agree to
-    ``rtol`` in relative grid norm, up to ``max_iter`` passes."""
-
-    rtol: float
-    max_iter: int
-
-    def __post_init__(self):
-        if not 0.0 < self.rtol < 1.0:
-            raise ValueError("corrector rtol must lie in (0, 1)")
-        object.__setattr__(self, "max_iter", _pass_count(self.max_iter, "max_iter"))
-
-
-CorrectorMode = Union[FixedCount, Tolerance]
-
-# Tolerance-mode corrector of scheme1 and of the scheme1 bootstrap.
-DEFAULT_CORRECTOR = Tolerance(rtol=1e-14, max_iter=200)
+        # range() would reject any other count mid-run.
+        if not (1 <= self.count < math.inf and int(self.count) == self.count):
+            raise ValueError(
+                f"corrector count must be an integer of at least 1, got {self.count!r}"
+            )
+        object.__setattr__(self, "count", int(self.count))
 
 
 @dataclass(frozen=True)
 class SchemeConfig:
+    """One scheme at one dt.  ``corrector`` is scheme1's alone: ``None``
+    iterates to ``CORRECTOR_RTOL``, a :class:`FixedCount` runs that many
+    passes."""
+
     kind: SchemeKind
     dt: float
-    corrector: CorrectorMode = DEFAULT_CORRECTOR
+    corrector: Optional[FixedCount] = None
     bootstrap: BootstrapKind = BootstrapKind.RK4
 
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if self.corrector is not None and self.kind != SchemeKind.SCHEME1_PC:
+            raise ValueError(f"only scheme1 takes a corrector, got {self.corrector}")
 
 
 @dataclass(frozen=True)
@@ -308,11 +298,11 @@ def step_scheme1_pc(
 
     and replaces the guess; by bilinearity of the bracket this is exactly the
     fixed-point map of the implicit scheme, so at convergence the energy and
-    both momenta are conserved to the stopping tolerance.  In tolerance mode
-    iteration stops when successive momentum iterates agree to ``rtol``
-    relative; exceeding ``max_iter`` raises :class:`NonConvergenceError`, as
-    does, in either mode, a pass whose iterate or increment norm is not
-    finite.
+    both momenta are conserved to the stopping tolerance.  Without a
+    ``FixedCount``, iteration stops when successive momentum iterates agree
+    to ``CORRECTOR_RTOL`` relative; exceeding ``CORRECTOR_MAX_PASSES`` raises
+    :class:`NonConvergenceError`, as does, in either mode, a pass whose
+    iterate or increment norm is not finite.
     """
     grid = s_n.grid
     m_n = s_n.m.values
@@ -325,12 +315,11 @@ def step_scheme1_pc(
     else:
         mp, up = m_n, u_n
 
-    mode = cfg.corrector
-    tolerance = isinstance(mode, Tolerance)
-    max_passes = mode.max_iter if tolerance else mode.count
+    fixed = cfg.corrector
+    max_passes = CORRECTOR_MAX_PASSES if fixed is None else fixed.count
     increments = []
     rel = None
-    converged = not tolerance
+    converged = fixed is not None
     quarter_dt = 0.25 * dt
 
     for _ in range(max_passes):
@@ -351,14 +340,14 @@ def step_scheme1_pc(
         rel = delta / norm_mc if norm_mc > 0.0 else 0.0
         mp = mc
         up = _solve_q_stack_arr(mp, grid)
-        if tolerance and delta <= mode.rtol * norm_mc:
+        if fixed is None and delta <= CORRECTOR_RTOL * norm_mc:
             converged = True
             break
 
     if not converged:
         raise NonConvergenceError(
-            f"corrector did not reach rtol={mode.rtol:.1e} within "
-            f"{mode.max_iter} passes (last relative increment {rel:.3e})",
+            f"corrector did not reach rtol={CORRECTOR_RTOL:.1e} within "
+            f"{max_passes} passes (last relative increment {rel:.3e})",
             residual=rel,
         )
     return _finish(s_n, dt, up, mp, rel, tuple(increments))
@@ -402,8 +391,7 @@ def step_rk4(s_n: State, dt: float) -> StepResult:
 def _bootstrap_result(s_0: State, dt: float, cfg: SchemeConfig) -> StepResult:
     if cfg.bootstrap is BootstrapKind.RK4:
         return step_rk4(s_0, dt)
-    pc_cfg = replace(cfg, corrector=DEFAULT_CORRECTOR)
-    return step_scheme1_pc(None, s_0, dt, pc_cfg)
+    return step_scheme1_pc(None, s_0, dt, replace(cfg, corrector=None))
 
 
 def solvability_dt_bound(m_n: FieldPair) -> float:
@@ -423,7 +411,9 @@ def solvability_dt_bound(m_n: FieldPair) -> float:
     return c * math.sqrt(dx**3 * dy**3 / (dx**2 + dy**2)) / nm
 
 
-def _resolve_step_count(t0: float, t_final: float, dt: float) -> int:
+def step_count(t0: float, t_final: float, dt: float) -> int:
+    """The whole number of steps of size ``dt`` from ``t0`` to ``t_final``;
+    ValueError unless (t_final - t0)/dt is within 1e-9 of one."""
     if not t_final > t0:
         raise ValueError("t_final must exceed the initial time")
     ratio = (t_final - t0) / dt
@@ -453,7 +443,7 @@ def integrate(
     abort with the step index in the message and in ``exc.step``.
     """
     dt = cfg.dt
-    n_steps = _resolve_step_count(initial.t, t_final, dt)
+    n_steps = step_count(initial.t, t_final, dt)
     multistep = cfg.kind is not SchemeKind.RK4
 
     # Built per call, not at import, so that a stepper or energy replaced on

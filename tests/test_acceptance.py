@@ -23,7 +23,6 @@ from epdiff import (
     SchemeConfig,
     SchemeKind,
     State,
-    Tolerance,
     apply_q,
     convergence_study,
     inner,
@@ -68,7 +67,7 @@ BENCH_DT = BENCH_GRID.dx**2
 BENCH_T = 50.0
 
 SCHEME_VARIANTS = {
-    "scheme1": SchemeConfig(SchemeKind.SCHEME1_PC, BENCH_DT, corrector=Tolerance(1e-14, 200)),
+    "scheme1": SchemeConfig(SchemeKind.SCHEME1_PC, BENCH_DT),
     "scheme1-fixed5": SchemeConfig(SchemeKind.SCHEME1_PC, BENCH_DT, corrector=FixedCount(5)),
     "scheme2": SchemeConfig(SchemeKind.SCHEME2, BENCH_DT),
     "scheme3": SchemeConfig(SchemeKind.SCHEME3, BENCH_DT),
@@ -276,7 +275,7 @@ def _median_step_seconds(kind, n, corrector=None, steps=15, reps=3, warmup=5):
     g = GridSpec(n, n, SIGMA)
     spec = WaveFrontSpec.plate(sigma=SIGMA, amplitude=0.5)
     dt = g.dx / 8
-    cfg = SchemeConfig(kind, dt, corrector=corrector or Tolerance(1e-14, 200))
+    cfg = SchemeConfig(kind, dt, corrector=corrector)
     medians = []
     for _ in range(reps):
         s0 = wavefront_profile(spec, g)
@@ -448,9 +447,7 @@ def test_criterion_14_energy_difference_identities(rng):
 def test_criterion_15_fixed_point_contraction():
     s0 = sine_profile(BENCH_GRID)
     dt = 0.9 * solvability_dt_bound(s0.m)
-    cfg = SchemeConfig(
-        SchemeKind.SCHEME1_PC, dt, corrector=Tolerance(1e-14, 200)
-    )
+    cfg = SchemeConfig(SchemeKind.SCHEME1_PC, dt)
     s1 = integrate(s0, cfg, s0.t + dt).states_tail[-1]
     prev, cur = s0, s1
     monotone = True

@@ -26,22 +26,24 @@ from epdiff.config import (
 )
 from epdiff.harness import _grid, _write_csv, run_command
 from epdiff.snapshots import read_snapshot, write_snapshot
-from epdiff.steppers import _resolve_step_count
+from epdiff.steppers import step_count
 from conftest import random_pair
 
 
 class TestSchemeLabels:
     def test_known_labels(self):
-        from epdiff import FixedCount, SchemeKind, Tolerance
+        from epdiff import FixedCount, SchemeKind
 
         sel = parse_scheme_label("scheme1")
         assert sel.kind is SchemeKind.SCHEME1_PC
-        assert isinstance(sel.corrector, Tolerance)
+        assert sel.corrector is None
         sel = parse_scheme_label("scheme1-fixed=5")
         assert sel.corrector == FixedCount(5)
         assert parse_scheme_label("scheme2").kind is SchemeKind.SCHEME2
         assert parse_scheme_label("scheme3").kind is SchemeKind.SCHEME3
         assert parse_scheme_label("rk4").kind is SchemeKind.RK4
+        for label in ("scheme2", "scheme3", "rk4"):
+            assert parse_scheme_label(label).corrector is None
 
     @pytest.mark.parametrize(
         "bad",
@@ -171,7 +173,7 @@ class TestConfigFile:
             else:
                 dts = [cfg.resolve_dt(_grid(cfg).dx)]
             for dt in dts:
-                assert _resolve_step_count(0.0, cfg.t_final, dt) >= 1
+                assert step_count(0.0, cfg.t_final, dt) >= 1
 
     @pytest.mark.parametrize("value", ["ture", "", "2", "y"])
     def test_booleans_are_strict(self, tmp_path, value):
@@ -230,7 +232,8 @@ def read_by(command: str) -> set[str]:
 
 
 # Options the front end no longer has, with a sample value.  The library
-# keeps GridSpec(1025, 1025, alpha) and SchemeConfig(corrector=Tolerance(...)).
+# keeps GridSpec(1025, 1025, alpha); scheme1's corrector tolerance is the two
+# constants steppers.CORRECTOR_RTOL and steppers.CORRECTOR_MAX_PASSES.
 REMOVED_OPTIONS = {"full_scale": "true", "corrector_rtol": "1e-10", "corrector_max_iter": "9"}
 
 # One non-default value per option, in config-file form.
@@ -259,7 +262,7 @@ OPTION_SAMPLES = {
 class TestOptionTable:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_command_defaults(self, command):
-        from epdiff import FixedCount, Tolerance
+        from epdiff import FixedCount
         from epdiff.steppers import BootstrapKind
 
         labels, grids, alpha, t_final, profile, amplitude, dt = COMMAND_DEFAULTS[command]
@@ -267,7 +270,7 @@ class TestOptionTable:
         assert tuple(sel.label for sel in cfg.schemes) == labels
         for sel in cfg.schemes:
             fixed = sel.label.startswith("scheme1-fixed=")
-            expected = FixedCount(int(sel.label[-1])) if fixed else Tolerance(1e-14, 200)
+            expected = FixedCount(int(sel.label[-1])) if fixed else None
             assert sel.corrector == expected
         assert cfg.grids == grids and (cfg.K, cfg.J) == grids[0]
         assert (cfg.alpha, cfg.t_final, cfg.profile, cfg.amplitude) == (
@@ -728,6 +731,70 @@ class TestExitCodes:
         assert code == 2 and not calls
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("convergence", "--grid", "16", "--reference-grid", "32"),
+            ("convergence", "--grid", "24,32", "--reference-grid", "64", "--t-final", "0.25"),
+            ("convergence", "--grid", "8,16", "--reference-grid", "32", "--t-final", "0.3"),
+            ("run", "--grid", "8", "--sigma", "0.3"),
+            ("reversibility", "--grid", "8", "--sigma", "0.3"),
+            ("bench", "--grid", "8", "--sigma", "0.3"),
+            ("run", "--grid", "8", "--profile", "sine", "--dt", "0.03", "--t-final", "0.1"),
+        ],
+    )
+    def test_config_errors_create_nothing(self, tmp_path, monkeypatch, argv):
+        # Each used to exit 2 from inside its command, after --out was made:
+        # too few convergence grids, grids that do not nest (at a t_final
+        # that every level divides), a dt that does not divide t_final, and
+        # a front whose cutoff radius does not fit.
+        calls = []
+        for target in ("epdiff.harness.integrate", "epdiff.diagnostics.integrate"):
+            monkeypatch.setattr(target, lambda *a, **k: calls.append(a))
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert not out.exists() and not calls
+
+    @pytest.mark.parametrize(
+        "scheme,extra,step", [("scheme2", ("--bootstrap", "scheme1"), 2), ("rk4", (), 1)]
+    )
+    def test_q_solve_residual_failure_record(self, tmp_path, monkeypatch, scheme, extra, step):
+        # A checked Q-solve whose answer is off by 1e-6 relative fails its
+        # residual check, in the record's fields.  scheme2's first step is
+        # the scheme1 bootstrap, which takes no checked solve, so its own
+        # step 2 is the one that fails.
+        import epdiff.grid as grid_module
+
+        solve = grid_module._solve_q_stack_arr
+        monkeypatch.setattr(
+            grid_module, "_solve_q_stack_arr", lambda a, g: solve(a, g) * (1.0 + 1e-6)
+        )
+        code = run_cli(
+            "run", "--grid", "8", "--profile", "sine", "--dt", "0.01", "--t-final", "0.03",
+            "--scheme", scheme, *extra, "--out", str(tmp_path),
+        )
+        assert code == 1
+        entry = json.loads((tmp_path / "summary.json").read_text())["schemes"][scheme]
+        assert entry["status"] == "failed" and entry["failed_step"] == step
+        assert entry["residual"] == pytest.approx(1e-6, rel=1e-6)
+
+    def test_linear_solve_stall_failure_record(self, tmp_path, monkeypatch):
+        # With a residual cap of 0 the CG cannot stop: it runs to its
+        # iteration cap on the first scheme3 step, after the RK4 bootstrap.
+        import epdiff.steppers as steppers
+
+        monkeypatch.setattr(steppers, "SCHEME3_RTOL", 0.0)
+        monkeypatch.setattr(steppers, "SCHEME3_RESIDUAL_CAP", 0.0)
+        code = run_cli(
+            "run", "--grid", "8", "--profile", "sine", "--dt", "0.01", "--t-final", "0.03",
+            "--scheme", "scheme3", "--out", str(tmp_path),
+        )
+        assert code == 1
+        entry = json.loads((tmp_path / "summary.json").read_text())["schemes"]["scheme3"]
+        assert entry["status"] == "failed" and entry["failed_step"] == 2
+        assert "linear solve stalled" in entry["error"]
+        assert math.isfinite(entry["residual"]) and entry["residual"] > 0.0
 
     def test_numerical_failure_exits_one(self, tmp_path):
         # dt far beyond the stability limit of the sine benchmark.
