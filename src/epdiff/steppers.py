@@ -116,9 +116,10 @@ class SchemeConfig:
 class StepResult:
     """State after one step plus solver bookkeeping.
 
-    ``linear_solve_residual`` is the relative residual of whichever linear or
-    fixed-point solve produced the state; ``corrector_increments`` holds the
-    norms of successive corrector updates (predictor-corrector only).
+    ``linear_solve_residual`` is the relative residual of the solve that gave
+    the velocity: the checked Q-solve for scheme1, scheme2 and rk4, the CG for
+    scheme3; ``corrector_increments`` holds the norms of successive corrector
+    updates (predictor-corrector only).
     """
 
     state: State
@@ -178,14 +179,15 @@ def _require_consecutive(s_nm1: State, s_n: State, dt: float):
 def _finish(
     s_n: State,
     dt: float,
-    u: np.ndarray,
     m: np.ndarray,
-    residual: float,
     increments: tuple[float, ...] = (),
+    solved: Optional[tuple[np.ndarray, float]] = None,
 ) -> StepResult:
-    """Wrap the (2, J, K) velocity and momentum stacks of the level after
-    ``s_n``; one corrector pass per increment."""
+    """Wrap the (2, J, K) momentum stack ``m`` of the level after ``s_n`` with
+    the velocity and residual of its checked Q-solve, or with scheme3's
+    ``solved`` (x, CG residual) for m = Q x; one corrector pass per increment."""
     grid = s_n.grid
+    u, residual = _solve_q_checked(m, grid) if solved is None else solved
     state = State(
         u=FieldPair.from_arrays(grid, u[0], u[1]),
         m=FieldPair.from_arrays(grid, m[0], m[1]),
@@ -206,9 +208,7 @@ def step_scheme2(s_nm1: State, s_n: State, dt: float) -> StepResult:
     """Explicit two-step leapfrog: M advances over 2*dt with the bracket
     frozen at the middle level; conserves energy and both momenta."""
     _require_consecutive(s_nm1, s_n, dt)
-    m_new = _leapfrog(s_nm1, s_n, dt)
-    u_new, res = _solve_q_checked(m_new, s_n.grid)
-    return _finish(s_n, dt, u_new, m_new, res)
+    return _finish(s_n, dt, _leapfrog(s_nm1, s_n, dt))
 
 
 def step_scheme3(s_nm1: State, s_n: State, dt: float) -> StepResult:
@@ -279,7 +279,7 @@ def step_scheme3(s_nm1: State, s_n: State, dt: float) -> StepResult:
             f"(cap {SCHEME3_RESIDUAL_CAP:.1e}, {iters} iterations)",
             residual=rel_res,
         )
-    return _finish(s_n, dt, x, qx, rel_res)
+    return _finish(s_n, dt, qx, solved=(x, rel_res))
 
 
 def step_scheme1_pc(
@@ -302,7 +302,8 @@ def step_scheme1_pc(
     ``FixedCount``, iteration stops when successive momentum iterates agree
     to ``CORRECTOR_RTOL`` relative; exceeding ``CORRECTOR_MAX_PASSES`` raises
     :class:`NonConvergenceError`, as does, in either mode, a pass whose
-    iterate or increment norm is not finite.
+    iterate or increment norm is not finite.  The last pass's velocity comes
+    from the checked Q-solve in ``_finish``, not from a bare solve.
     """
     grid = s_n.grid
     m_n = s_n.m.values
@@ -319,10 +320,9 @@ def step_scheme1_pc(
     max_passes = CORRECTOR_MAX_PASSES if fixed is None else fixed.count
     increments = []
     rel = None
-    converged = fixed is not None
     quarter_dt = 0.25 * dt
 
-    for _ in range(max_passes):
+    for passes in range(1, max_passes + 1):
         # M_c = M_n - (dt/4) Gamma(M_n + M_p, U_n + U_p), in the bracket's
         # fresh result.
         mc = _gamma_arrays(m_n + mp, u_n + up, grid)
@@ -332,25 +332,22 @@ def step_scheme1_pc(
         if not (math.isfinite(norm_mc) and math.isfinite(delta)):
             # An overflowed iterate would read inf <= inf as converged.
             raise NonConvergenceError(
-                f"corrector diverged: pass {len(increments) + 1} has a "
+                f"corrector diverged: pass {passes} has a "
                 "non-finite iterate or increment norm",
                 residual=rel,
             )
         increments.append(delta)
         rel = delta / norm_mc if norm_mc > 0.0 else 0.0
         mp = mc
+        if (delta <= CORRECTOR_RTOL * norm_mc) if fixed is None else (passes == max_passes):
+            return _finish(s_n, dt, mp, tuple(increments))
         up = _solve_q_stack_arr(mp, grid)
-        if fixed is None and delta <= CORRECTOR_RTOL * norm_mc:
-            converged = True
-            break
 
-    if not converged:
-        raise NonConvergenceError(
-            f"corrector did not reach rtol={CORRECTOR_RTOL:.1e} within "
-            f"{max_passes} passes (last relative increment {rel:.3e})",
-            residual=rel,
-        )
-    return _finish(s_n, dt, up, mp, rel, tuple(increments))
+    raise NonConvergenceError(
+        f"corrector did not reach rtol={CORRECTOR_RTOL:.1e} within "
+        f"{max_passes} passes (last relative increment {rel:.3e})",
+        residual=rel,
+    )
 
 
 def step_rk4(s_n: State, dt: float) -> StepResult:
@@ -384,8 +381,7 @@ def step_rk4(s_n: State, dt: float) -> StepResult:
     m_new = np.add(k3, k4, out=k4)
     np.multiply(m_new, dt / 6.0, out=m_new)
     np.subtract(m, m_new, out=m_new)
-    u_new, res = _solve_q_checked(m_new, grid)
-    return _finish(s_n, dt, u_new, m_new, res)
+    return _finish(s_n, dt, m_new)
 
 
 def _bootstrap_result(s_0: State, dt: float, cfg: SchemeConfig) -> StepResult:

@@ -757,13 +757,17 @@ class TestExitCodes:
         assert not out.exists() and not calls
 
     @pytest.mark.parametrize(
-        "scheme,extra,step", [("scheme2", ("--bootstrap", "scheme1"), 2), ("rk4", (), 1)]
+        "scheme,extra,step",
+        [
+            ("scheme2", ("--bootstrap", "scheme1"), 1),
+            ("rk4", (), 1),
+            ("scheme1", ("--bootstrap", "scheme1"), 1),
+            ("scheme1-fixed=3", ("--bootstrap", "scheme1"), 1),
+        ],
     )
     def test_q_solve_residual_failure_record(self, tmp_path, monkeypatch, scheme, extra, step):
         # A checked Q-solve whose answer is off by 1e-6 relative fails its
-        # residual check, in the record's fields.  scheme2's first step is
-        # the scheme1 bootstrap, which takes no checked solve, so its own
-        # step 2 is the one that fails.
+        # residual check, in the record's fields.
         import epdiff.grid as grid_module
 
         solve = grid_module._solve_q_stack_arr
@@ -778,6 +782,23 @@ class TestExitCodes:
         entry = json.loads((tmp_path / "summary.json").read_text())["schemes"][scheme]
         assert entry["status"] == "failed" and entry["failed_step"] == step
         assert entry["residual"] == pytest.approx(1e-6, rel=1e-6)
+
+    def test_corrector_non_convergence_failure_record(self, tmp_path, monkeypatch):
+        # Two passes cannot reach the corrector's tolerance.  The first step
+        # is the RK4 bootstrap, so scheme1's own step 2 fails, with the last
+        # relative increment as its residual.
+        import epdiff.steppers as steppers
+
+        monkeypatch.setattr(steppers, "CORRECTOR_MAX_PASSES", 2)
+        code = run_cli(
+            "run", "--grid", "8", "--profile", "sine", "--dt", "0.01", "--t-final", "0.03",
+            "--scheme", "scheme1", "--out", str(tmp_path),
+        )
+        assert code == 1
+        entry = json.loads((tmp_path / "summary.json").read_text())["schemes"]["scheme1"]
+        assert entry["status"] == "failed" and entry["failed_step"] == 2
+        assert "did not reach" in entry["error"]
+        assert math.isfinite(entry["residual"]) and entry["residual"] > steppers.CORRECTOR_RTOL
 
     def test_linear_solve_stall_failure_record(self, tmp_path, monkeypatch):
         # With a residual cap of 0 the CG cannot stop: it runs to its

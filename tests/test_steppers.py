@@ -44,7 +44,7 @@ from epdiff import (
     wavefront_profile,
 )
 from epdiff.core import _corrector_norms, _gamma_arrays
-from epdiff.grid import _solve_q_stack_arr
+from epdiff.grid import QSOLVE_RTOL, _solve_q_stack_arr
 from epdiff.steppers import SCHEME3_RESIDUAL_CAP, _bootstrap_result
 from conftest import gamma_apply, random_pair, random_state, same_bits
 
@@ -457,6 +457,45 @@ def test_public_functions_of_grid_and_core_have_a_caller():
     assert not missing, f"no caller outside their module: {missing}"
 
 
+def test_one_checked_solve_gives_each_step_its_velocity(rng, monkeypatch):
+    # scheme1, scheme2 and rk4 solve and check the new momentum once per
+    # step, in one place, and report that solve's residual; the scheme1
+    # bootstrap does too.  scheme3 takes its velocity from its own CG.
+    import epdiff.steppers as steppers
+
+    calls = []
+    checked = steppers._solve_q_checked
+
+    def spy(m, grid):
+        u, residual = checked(m, grid)
+        calls.append((m.copy(), residual))
+        return u, residual
+
+    g = GridSpec(12, 10, 1.0)
+    dt = 1e-3
+    s0 = random_state(g, rng)
+    s1 = step_rk4(s0, dt).state
+    monkeypatch.setattr(steppers, "_solve_q_checked", spy)
+    bootstrap = pc_config(dt, FixedCount(3), BootstrapKind.SCHEME1_FIXED_POINT)
+    steps = {
+        "scheme1": lambda: step_scheme1_pc(s0, s1, dt, pc_config(dt)),
+        "scheme1-fixed=3": lambda: step_scheme1_pc(s0, s1, dt, pc_config(dt, FixedCount(3))),
+        "scheme2": lambda: step_scheme2(s0, s1, dt),
+        "rk4": lambda: step_rk4(s1, dt),
+        "scheme1 bootstrap": lambda: _bootstrap_result(s0, dt, bootstrap),
+    }
+    for label, step in steps.items():
+        calls.clear()
+        res = step()
+        assert len(calls) == 1, label
+        m, residual = calls[0]
+        assert same_bits(m, res.state.m.values), label
+        assert residual == res.linear_solve_residual, label
+    calls.clear()
+    step_scheme3(s0, s1, dt)
+    assert not calls
+
+
 class TestScheme1PredictorCorrector:
     def test_fixed_count_runs_exactly_n_passes(self, rng):
         g = GridSpec(10, 10, 1.0)
@@ -469,8 +508,8 @@ class TestScheme1PredictorCorrector:
 
     def test_norms_taken_per_pass(self, monkeypatch):
         # Both modes take the norms of each pass's iterate and increment in
-        # one call, and no other norm; the last pass's pair gives the
-        # reported relative increment.
+        # one call, and no other norm; the reported residual is the checked
+        # Q-solve's of the last iterate.
         import epdiff.steppers as steppers
 
         calls = []
@@ -494,7 +533,30 @@ class TestScheme1PredictorCorrector:
             assert res.corrector_increments == tuple(delta for _, delta in calls)
             norm_m = ref_pair_norm(res.state.m.values, g)
             assert calls[-1][0] == norm_m
-            assert res.linear_solve_residual == res.corrector_increments[-1] / norm_m
+            assert res.linear_solve_residual <= QSOLVE_RTOL
+
+    @pytest.mark.parametrize(
+        "previous,corrector",
+        [(True, None), (True, FixedCount(3)), (False, None)],
+        ids=["previous-level", "fixed3", "bootstrap"],
+    )
+    def test_perturbed_final_solve_fails_the_step(self, rng, monkeypatch, previous, corrector):
+        # The checked solve's bare solve answers 1e-6 off, while the
+        # corrector's own solves stay exact: the step must fail its check.
+        import epdiff.grid as grid_module
+
+        g = GridSpec(12, 10, 1.0)
+        dt = 1e-3
+        s0 = random_state(g, rng)
+        s1 = step_rk4(s0, dt).state
+        solve = grid_module._solve_q_stack_arr
+        monkeypatch.setattr(
+            grid_module, "_solve_q_stack_arr", lambda a, g: solve(a, g) * (1.0 + 1e-6)
+        )
+        prev, cur = (s0, s1) if previous else (None, s0)
+        with pytest.raises(NumericalFailureError, match="Helmholtz solve residual") as info:
+            step_scheme1_pc(prev, cur, dt, pc_config(dt, corrector))
+        assert info.value.residual == pytest.approx(1e-6, rel=1e-6)
 
     @pytest.mark.parametrize("k,j", [(3, 3), (33, 17), (64, 63), (257, 129)])
     def test_corrector_norms_have_the_bits_of_pair_norm(self, k, j, rng):
