@@ -363,14 +363,17 @@ class _Plan:
     :func:`_grid_numbers`: numpy converts a Python scalar operand to an
     array on each call, and takes a 0-d array as it is.  It holds the
     stencil indices of :func:`_pass_indices` (``passes``), the bracket's
-    passes, the shared Helmholtz symbol ``recip``, and four buffers with
+    passes, the shared Helmholtz symbol ``recip``, and three buffers with
     their views: ``pair`` (two stacks, ``pair0`` and ``pair1``: the
     bracket's difference and product, the two squares or products that one
-    reduction sums into ``sums``, and the Laplacian's 2a in ``pair0``) and
-    the Q-solve's ``real`` and ``spec``, whose ``rest`` view of ``real``
-    also takes the Laplacian's y pass.  They are shared on one rule: a
-    thread runs one kernel of a plan at a time, and the Laplacian never
-    uses ``pair1``, which the checked solve passes as apply-Q's ``out``.
+    reduction sums into ``sums``, and the Laplacian's 2a in ``pair0``), and
+    the Q-solve's ``real``, whose ``rest`` view also takes the Laplacian's
+    y pass.  The Q-solve's spectrum ``spec`` is a complex view of the start
+    of ``pair``, which it fits on every grid of at least 3x3, since
+    (J + 1)(K//2 + 1) <= J K.  They are shared on one rule: a thread runs
+    one kernel of a plan at a time, no kernel uses ``spec`` and ``pair`` in
+    one call, and the Laplacian never uses ``pair1``, which
+    :meth:`residual_sums` fills with Q u.
 
     ``bracket_passes`` holds the bracket's x and then y direction as
     (axis, 0.5/h, velocity pass, work pass), two passes into ``pair0`` made
@@ -423,7 +426,9 @@ class _Plan:
         self.rest = self.real[:n_rest].reshape(shape)
         self.rows = self.real[n_rest:].reshape(lead + (K,))
         self.rows_b = self.rows[..., None, :]
-        self.spec = np.empty((n_rest + layers, K // 2 + 1), np.complex128)
+        n_spec = (n_rest + layers) * (K // 2 + 1)
+        spec = self.pair.reshape(-1).view(np.complex128)[:n_spec]
+        self.spec = spec.reshape(n_rest + layers, K // 2 + 1)
         self.spec_rest = self.spec[:n_rest].reshape(lead + (J, K // 2 + 1))
         self.spec_f = self.spec.view(np.float64)
         self.recip = _helmholtz_symbol(K, J, grid.alpha, layers)
@@ -531,6 +536,11 @@ class _Plan:
         np.add.reduce(self.pair, axis=(-2, -1), out=self.sums)
         return self.sums_rows.tolist()
 
+    def residual_sums(self, a: np.ndarray, u: np.ndarray) -> list[list[float]]:
+        """[per-layer sum(a*a), per-layer sum((a - Q u)**2)]: Q u goes into
+        ``pair1``, and :meth:`square_sums` takes the squares."""
+        return self.square_sums(a, self.apply_q(u, self.pair1))
+
     def bracket(self, m: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The bracket of (2, J, K) momentum and velocity stacks, as one new
         stack.
@@ -607,15 +617,15 @@ class _SplitPlan:
     splits by output component instead (:meth:`_Plan.bracket_component`).
     The results have the bits of the stacked call.
 
-    It keeps no buffer but ``pair1``, where a checked solve puts Q u, and
-    has no stencil methods: no package path runs a stencil on a split stack.
+    It keeps no buffer, since each layer works in its thread's (J, K)
+    plan, and has no stencil methods: no package path runs a stencil on a
+    split stack.
     """
 
-    __slots__ = ("grid", "pair1")
+    __slots__ = ("grid",)
 
-    def __init__(self, grid: GridSpec, shape: tuple[int, ...]):
+    def __init__(self, grid: GridSpec):
         self.grid = grid
-        self.pair1 = np.empty(shape)
 
     def _layer_job(self, i: int, method, stacks):
         """``method`` of the thread's (J, K) plan on layer ``i`` of each of
@@ -642,6 +652,9 @@ class _SplitPlan:
     def product_sums(self, a, b, c, d) -> list[list[float]]:
         return self._sums(_Plan.product_sums, a, b, c, d)
 
+    def residual_sums(self, a: np.ndarray, u: np.ndarray) -> list[list[float]]:
+        return self._sums(_Plan.residual_sums, a, u)
+
     def _component_job(self, c: int, m: np.ndarray, v: np.ndarray, out: np.ndarray):
         _plan(self.grid, self.grid.shape).bracket_component(c, m, v, out[c])
 
@@ -665,7 +678,7 @@ def _plan(grid: GridSpec, shape: tuple[int, ...]) -> _Plan | _SplitPlan:
         _THREAD.grid_shape = grid.shape
         _THREAD.plans = {}
     split = shape[:-2] == (2,) and grid.J * grid.K >= _SPLIT_POINTS
-    plan = _THREAD.plans[grid, shape] = (_SplitPlan if split else _Plan)(grid, shape)
+    plan = _THREAD.plans[grid, shape] = _SplitPlan(grid) if split else _Plan(grid, shape)
     return plan
 
 
@@ -739,15 +752,14 @@ def _solve_q_stack_arr(a: np.ndarray, grid: GridSpec) -> np.ndarray:
 def _solve_q_checked(a: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, float]:
     """Solve and verify: stacked input gives the worst per-layer residual.
 
-    Q u goes into the plan's ``pair1``, and the squares of the momentum and
-    of the residual a - Q u come from one :meth:`_Plan.square_sums`.  A
-    momentum or residual whose norm is not finite (NaN or infinite
-    entries, or entries too large to square) cannot be verified and is
-    rejected without a residual.
+    The squares of the momentum and of the residual a - Q u come from one
+    :meth:`_Plan.residual_sums`, which forms Q u in the plan (on a split
+    stack, each layer on its own thread).  A momentum or residual whose
+    norm is not finite (NaN or infinite entries, or entries too large to
+    square) cannot be verified and is rejected without a residual.
     """
     u = _solve_q_stack_arr(a, grid)
-    plan = _plan(grid, a.shape)
-    sq_m, sq_r = plan.square_sums(a, _apply_q_arr(u, grid, plan.pair1))
+    sq_m, sq_r = _plan(grid, a.shape).residual_sums(a, u)
     rel = 0.0
     for nm, nr in zip(map(math.sqrt, sq_m), map(math.sqrt, sq_r)):
         if not (math.isfinite(nm) and math.isfinite(nr)):

@@ -132,9 +132,9 @@ def cmd_conserve(cfg: ExperimentConfig) -> int:
     """Invariant tracking with optional snapshots, for ``conserve`` and ``run``."""
     grid = _grid(cfg)
     dt = cfg.resolve_dt(grid.dx)
+    initial = _initial_state(cfg, grid)
 
     def run(sel: SchemeSelection) -> dict:
-        initial = _initial_state(cfg, grid)
         record = integrate(
             initial,
             sel.build(dt, cfg.bootstrap),
@@ -192,9 +192,9 @@ def cmd_reversibility(cfg: ExperimentConfig) -> int:
     sigma = None if cfg.profile == "sine" else _front_spec(cfg).sigma
     ratio = grid.alpha / sigma if sigma else math.nan
     rows = []
+    initial = _initial_state(cfg, grid)
 
     def run(sel: SchemeSelection) -> dict:
-        initial = _initial_state(cfg, grid)
         err = reversibility_test(initial, sel.build(dt, cfg.bootstrap), cfg.t_final)
         rows.append((sel.label, cfg.profile, ratio, dt / grid.dx, err * 100.0))
         return {"status": "ok", "rel_error_percent": err * 100.0}

@@ -561,9 +561,10 @@ class TestKernels:
 
     @pytest.mark.parametrize("lead", [(), (2,)], ids=["layer", "stack"])
     def test_plan_owns_no_private_laplacian_stack(self, lead, rng):
-        # The Laplacian works in buffers the plan's other kernels own, so
-        # the arrays a plan owns (views and the shared symbol aside) come
-        # to no more than pair, sums, real and spec.  A warm plan then runs
+        # The Laplacian works in buffers the plan's other kernels own, and
+        # the spectrum lives in pair, so the arrays a plan owns (views and
+        # the shared symbol aside) come to no more than pair, sums and
+        # real.  A warm plan then runs
         # solve, apply-Q and a checked solve, whose kernels share those
         # buffers, and each call has the bits of the same call on a fresh
         # plan.
@@ -581,7 +582,7 @@ class TestKernels:
                 todo.extend(x)
             elif isinstance(x, dict):
                 todo.extend(x.values())
-        buffers = (plan.pair, plan.sums, plan.real, plan.spec)
+        buffers = (plan.pair, plan.sums, plan.real)
         assert sum(owned.values()) <= sum(x.nbytes for x in buffers)
 
         a, b, c = rng.standard_normal((3,) + shape)
@@ -599,6 +600,43 @@ class TestKernels:
             assert not thread.is_alive()
             for got, expected in zip(warm, fresh, strict=True):
                 assert same_bits(got, expected)
+
+    def test_split_plan_owns_no_array(self):
+        # Each layer of a split stack works in its own thread's (J, K) plan.
+        g = GridSpec(128, 128, 0.7)
+        plan = _plan(g, (2,) + g.shape)
+        assert type(plan) is _SplitPlan
+        for name in _SplitPlan.__slots__:
+            assert not isinstance(getattr(plan, name), np.ndarray), name
+
+    @pytest.mark.parametrize("k,j", [(33, 17), (128, 128)], ids=["stacked", "split"])
+    def test_warm_plan_calls_keep_the_bits_of_fresh_ones(self, k, j, rng):
+        # The spectrum shares pair's memory, and the checked solve forms Q u
+        # in pair1: one warm plan runs every kernel in turn, and each call
+        # has the bits of the same call on a fresh plan in a new thread.
+        g = GridSpec(k, j, 0.7)
+        shape = (2,) + g.shape
+        assert isinstance(_plan(g, shape), _SplitPlan) == (k * j >= grid_module._SPLIT_POINTS)
+        a, b, c, d, m, v = rng.standard_normal((6,) + shape)
+        calls = [
+            lambda: [_gamma_arrays(m, v, g)],
+            lambda: [_solve_q_stack_arr(a, g)],
+            lambda: list(_solve_q_checked(b, g)),
+            lambda: _plan(g, shape).product_sums(a, b, c, d),
+            lambda: _plan(g, shape).square_sums(c, d),
+            lambda: [_apply_q_arr(c, g)],
+            lambda: [_gamma_arrays(v, m, g)],
+        ]
+        warm = [call() for call in calls]
+        for call, got in zip(calls, warm, strict=True):
+            fresh = []
+            thread = threading.Thread(target=lambda: fresh.extend(call()))
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            assert len(got) == len(fresh)
+            for x, y in zip(got, fresh):
+                assert same_bits(x, y)
 
     def test_plans_of_a_grid_share_read_only_numbers(self):
         # A plan's scalar operands are 0-d views of one read-only float64
@@ -1039,6 +1077,21 @@ def test_kernels_on_drawn_grids(K, J, lead, alpha, twin_alpha, seed):
     skew = abs(float(np.vdot(gamma, v))) * area
     scale = math.sqrt(np.vdot(m, m) * area) * float(np.vdot(v, v)) * area / math.sqrt(area)
     assert skew <= SKEW_BOUND * scale
+
+
+@settings(max_examples=50)
+@given(K=st.integers(3, 64), J=st.integers(3, 64), lead=st.sampled_from([(), (2,)]))
+def test_spectrum_lies_in_the_work_array(K, J, lead):
+    # The Q-solve's spectrum is a C-contiguous complex view of the start
+    # of pair, which holds it on every grid of at least 3x3.
+    plan = _Plan(GridSpec(K, J, 0.5), lead + (J, K))
+    spec, pair = plan.spec, plan.pair
+    layers = math.prod(lead)
+    assert spec.dtype == np.complex128 and spec.shape == (layers * (J + 1), K // 2 + 1)
+    assert spec.base is pair and spec.flags.c_contiguous
+    start = spec.__array_interface__["data"][0]
+    pair_start = pair.__array_interface__["data"][0]
+    assert start == pair_start and spec.nbytes <= pair.nbytes
 
 
 # Worst ||u_spectral - u_LU|| / ||m|| over 330 numpy draws of the test's

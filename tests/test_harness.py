@@ -830,6 +830,21 @@ class TestExitCodes:
         assert entry["status"] == "failed"
         assert isinstance(entry["failed_step"], int) and entry["failed_step"] >= 1
 
+    def test_blow_up_failure_record(self, tmp_path):
+        # scheme2 on the 16^2 sine at dt = 0.5 grows until the checked
+        # solve of step 6 squares entries past the largest float.  That
+        # momentum cannot be verified, so the record has no residual.
+        with np.errstate(all="ignore"):
+            code = run_cli(
+                "run", "--grid", "16", "--profile", "sine", "--dt", "0.5", "--t-final", "5",
+                "--scheme", "scheme2", "--out", str(tmp_path),
+            )
+        assert code == 1
+        entry = json.loads((tmp_path / "summary.json").read_text())["schemes"]["scheme2"]
+        assert entry["status"] == "failed" and entry["failed_step"] == 6
+        assert "not finite" in entry["error"]
+        assert "residual" not in entry
+
     def test_overflowing_corrector_fails_its_first_step(self, tmp_path):
         # The scheme1 bootstrap on the 3x3 sine overflows its corrector
         # norms within step 1; that step fails with the last finite

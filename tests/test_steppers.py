@@ -722,6 +722,14 @@ class TestSolvabilityBound:
         assert solvability_dt_bound(FieldPair.zeros(g)) == math.inf
 
 
+# Total variations through the 64^2 front collisions: at most 5.3e-15 for
+# scheme1's and scheme2's energy and momenta (x-momentum of scheme1 on the
+# parallel fronts), and 2.8e-14 for scheme3's energy (parallel).  Each bound
+# leaves a margin of about 3.5.
+FRONT_TV = 2e-14
+FRONT_SCHEME3_ENERGY_TV = 1e-13
+
+
 class TestIntegrate:
     def test_rejects_zero_or_mismatched_step_counts(self, rng):
         g = GridSpec(8, 8, 1.0)
@@ -789,6 +797,30 @@ class TestIntegrate:
         rec = integrate(s0, SchemeConfig(SchemeKind.SCHEME2, dt), 100 * dt)
         tv, _ = invariant_stats(rec.column("energy"))
         assert tv <= 1e-8
+
+    @pytest.mark.parametrize("front", ["parallel", "star"])
+    def test_conservation_through_front_collisions(self, front):
+        # The paper's colliding fronts at 64^2, dt = dx/4, through t = 0.75
+        # (96 steps, RK4 bootstrap), as `epdiff run --grid 64 --t-final
+        # 0.75` runs them.  scheme1 and scheme2 conserve energy and both
+        # momenta, scheme3 energy alone: its x-momentum moves by 9.3e-2 on
+        # the parallel fronts.
+        from epdiff import FrontKind, default_spec, invariant_stats
+
+        spec = default_spec(FrontKind(front))
+        g = GridSpec(64, 64, spec.sigma)
+        s0 = wavefront_profile(spec, g)
+        conserved = {
+            SchemeKind.SCHEME1_PC: (("energy", "momentum_x", "momentum_y"), FRONT_TV),
+            SchemeKind.SCHEME2: (("energy", "momentum_x", "momentum_y"), FRONT_TV),
+            SchemeKind.SCHEME3: (("energy",), FRONT_SCHEME3_ENERGY_TV),
+        }
+        for kind, (columns, bound) in conserved.items():
+            rec = integrate(s0, SchemeConfig(kind, g.dx / 4), 0.75)
+            assert rec.series[-1].step == 96
+            for column in columns:
+                tv, _ = invariant_stats(rec.column(column))
+                assert tv <= bound, (kind, column, tv)
 
     def test_scheme2_and_scheme3_agree_to_second_order(self):
         g = GridSpec(20, 20, 1.0)
