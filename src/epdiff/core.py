@@ -94,10 +94,6 @@ def _two_level_energy(a: FieldPair, b: FieldPair, c: FieldPair, d: FieldPair) ->
     return 0.25 * (ab1 * area + cd1 * area + ab2 * area + cd2 * area)
 
 
-# A diverging iterate may square past the largest float.  Its norm is then
-# inf, which the corrector reports as a failure; numpy's overflow warning
-# would only repeat it.
-@np.errstate(over="ignore")
 def _corrector_norms(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> tuple[float, float]:
     """(||a||, ||a - b||) of two (2, J, K) stacks, a corrector iterate and
     the one before it, from the plan's ``square_sums``.  Each norm adds its

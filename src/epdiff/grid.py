@@ -307,6 +307,7 @@ class _Helper:
                 self.result = context.run(fn, 0, *args), None
             except BaseException as exc:  # handed to the caller, which raises it
                 self.result = None, exc
+            del context, fn, args  # no stack outlives its call while the helper waits
             self.done.release()
 
     def __call__(self, fn, *args):

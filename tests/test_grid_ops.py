@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -983,6 +984,20 @@ class TestSplitKernels:
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             _apply_q_arr(huge, g)
         assert same_bits(_apply_q_arr(a, g), layer_by_layer(_apply_q_arr, a, g))
+
+    @pytest.mark.parametrize("kernel", ["solve", "bracket"])
+    def test_the_helper_keeps_no_stack_of_a_finished_call(self, kernel, rng):
+        # Between calls the helper thread holds none of the last call's
+        # inputs or outputs: a stack lives as long as its caller keeps it.
+        g = GridSpec(128, 128, 0.3)
+        a, v = (rng.standard_normal((2,) + g.shape) for _ in range(2))
+        if kernel == "solve":
+            u = _solve_q_stack_arr(a, g)
+        else:
+            u = _gamma_arrays(a, v, g)
+        refs = {name: weakref.ref(x) for name, x in (("a", a), ("v", v), ("u", u))}
+        del a, v, u
+        assert [name for name, ref in refs.items() if ref() is not None] == []
 
     def test_forked_child_splits_without_the_parents_helper(self, rng, monkeypatch):
         # A forked child has no helper thread; its first split starts one

@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -486,6 +487,13 @@ class TestSnapshots:
             read_snapshot(path)
 
 
+# The sine at dt = 0.5 to t = 5, which blows up under every scheme but
+# scheme3 on 16x16, and the messages of the checks that catch a blow-up.
+BLOW_UP = ("--profile", "sine", "--dt", "0.5", "--t-final", "5")
+SOLVE_NOT_FINITE = "Helmholtz solve momentum or residual norm is not finite"
+DIVERGED = "corrector diverged: pass {} has a non-finite iterate or increment norm"
+
+
 def run_cli(*args) -> int:
     return main(list(args))
 
@@ -819,11 +827,10 @@ class TestExitCodes:
 
     def test_numerical_failure_exits_one(self, tmp_path):
         # dt far beyond the stability limit of the sine benchmark.
-        with np.errstate(all="ignore"):
-            code = run_cli(
-                "conserve", "--grid", "16x16", "--dt", "0.5", "--t-final", "10",
-                "--scheme", "scheme2", "--out", str(tmp_path),
-            )
+        code = run_cli(
+            "conserve", "--grid", "16x16", "--dt", "0.5", "--t-final", "10",
+            "--scheme", "scheme2", "--out", str(tmp_path),
+        )
         assert code == 1
         summary = json.loads((tmp_path / "summary.json").read_text())
         entry = summary["schemes"]["scheme2"]
@@ -834,16 +841,58 @@ class TestExitCodes:
         # scheme2 on the 16^2 sine at dt = 0.5 grows until the checked
         # solve of step 6 squares entries past the largest float.  That
         # momentum cannot be verified, so the record has no residual.
-        with np.errstate(all="ignore"):
-            code = run_cli(
-                "run", "--grid", "16", "--profile", "sine", "--dt", "0.5", "--t-final", "5",
-                "--scheme", "scheme2", "--out", str(tmp_path),
-            )
+        code = run_cli(
+            "run", *BLOW_UP, "--grid", "16", "--scheme", "scheme2", "--out", str(tmp_path)
+        )
         assert code == 1
         entry = json.loads((tmp_path / "summary.json").read_text())["schemes"]["scheme2"]
         assert entry["status"] == "failed" and entry["failed_step"] == 6
-        assert "not finite" in entry["error"]
+        assert entry["error"] == f"{SOLVE_NOT_FINITE} (while computing step 6)"
         assert "residual" not in entry
+
+    @pytest.mark.parametrize(
+        "args,records",
+        [
+            ((*BLOW_UP, "--grid", "16", "--scheme", "scheme1,scheme3,rk4"), {
+                "scheme1": (2, DIVERGED.format(5)),
+                "scheme3": None,
+                "rk4": (3, SOLVE_NOT_FINITE),
+            }),
+            ((*BLOW_UP, "--grid", "128", "--scheme", "scheme1,scheme2,scheme3,rk4"), {
+                "scheme1": (2, DIVERGED.format(4)),
+                "scheme2": (6, SOLVE_NOT_FINITE),
+                "scheme3": (2, "linear solve stalled at relative residual 7.916e-06 "
+                               "(cap 1.0e-10, 1811 iterations)"),
+                "rk4": (3, SOLVE_NOT_FINITE),
+            }),
+            (("--profile", "sine", "--grid", "3", "--dt", "0.4444444444444444",
+              "--t-final", "1.3333333333333333", "--scheme", "scheme1"), {
+                "scheme1": (2, DIVERGED.format(33)),
+            }),
+        ],
+        ids=["three-schemes-16", "four-schemes-128", "scheme1-3"],
+    )
+    def test_blow_ups_report_through_their_records_alone(self, tmp_path, args, records):
+        # The sine at dt = 0.5, or at dt = 4 dx on 3x3, overflows; each
+        # failed scheme says where and why in summary.json, and numpy's
+        # overflow and invalid-value warnings, off inside every step, add
+        # nothing.  A None record is a scheme that survives the run.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("run", *args, "--out", str(tmp_path))
+        assert [str(w.message) for w in caught] == []
+        assert code == 1
+        schemes = json.loads((tmp_path / "summary.json").read_text())["schemes"]
+        assert set(schemes) == set(records)
+        for label, record in records.items():
+            entry = schemes[label]
+            if record is None:
+                assert entry["status"] == "ok"
+                continue
+            step, error = record
+            assert (entry["status"], entry["failed_step"], entry["error"]) == (
+                "failed", step, f"{error} (while computing step {step})"
+            )
 
     def test_overflowing_corrector_fails_its_first_step(self, tmp_path):
         # The scheme1 bootstrap on the 3x3 sine overflows its corrector
@@ -852,12 +901,11 @@ class TestExitCodes:
         def reject(constant):
             raise AssertionError(f"summary.json holds {constant}")
 
-        with np.errstate(all="ignore"):
-            code = run_cli(
-                "run", "--grid", "3", "--profile", "sine",
-                "--dt", "0.4444444444444444", "--t-final", "1.3333333333333333",
-                "--scheme", "scheme1", "--bootstrap", "scheme1", "--out", str(tmp_path),
-            )
+        code = run_cli(
+            "run", "--grid", "3", "--profile", "sine",
+            "--dt", "0.4444444444444444", "--t-final", "1.3333333333333333",
+            "--scheme", "scheme1", "--bootstrap", "scheme1", "--out", str(tmp_path),
+        )
         assert code == 1
         text = (tmp_path / "summary.json").read_text()
         summary = json.loads(text, parse_constant=reject)
